@@ -8,23 +8,12 @@ from .adjoint import (
     solve_adjoint,
     solve_sensitivity,
 )
-from .characteristics import (
-    BoundaryCurves,
-    CharacteristicPoint,
-    boundary_curves,
-    classify_growth_case,
-    decay_factor,
-    entry_time,
-    exit_time,
-    integrate_characteristic,
-)
+from .characteristics import decay_factor
 from .forward import (
     StateSolution,
     StepContext,
-    compute_renewal,
     solve_state,
     step_diffusion,
-    step_transport_reaction,
     total_population,
 )
 from .model import (

@@ -2,8 +2,11 @@
 
 The adjoint is the exact transpose of the discrete forward step, marched
 backward from a zero terminal condition with the running cost source, rather
-than a separate discretization of a continuous dual system.  That choice
-buys two machine-precision identities the optimizer relies on:
+than a separate discretization of a continuous dual system.  Both directions
+use the step operator StepContext holds: the adjoint step applies the
+transposed diffusion bands, the reaction factor and T_j.T, and the
+sensitivity march advances through the same primitive as the state march.
+That choice buys two machine-precision identities the optimizer relies on:
 
   * one-step duality  <forward_step(u), v> = <u, adjoint_step(v)>,
   * the pairing  -c * integral(z) = integral(delta * r * p * phi0)
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import StateSolution, StepContext, solve_state
+from .forward import StateSolution, StepContext
 from .model import Field, ValidatedScenario, control_array
 
 
@@ -112,14 +115,8 @@ def solve_sensitivity(vsc: ValidatedScenario, beta, state: StateSolution, delta,
     p = state.p.values
     z = np.zeros((grid.Ns, grid.Nt + 1, grid.Nx))
     for j in range(grid.Nt):
-        if ctx.has_renewal:
-            eta = (vsc.r_grid[:, j, :] * delta_arr[:, j, :] * p[:, j, :]).sum(axis=0)
-            eta = eta * (grid.ds / vsc.gamma0_t[j])
-            b = (ctx.renewal_weights(beta_arr, j) * z[:, j, :]).sum(axis=0) + eta
-        else:
-            b = np.zeros(grid.Nx)
-        v2 = ctx.transport_reaction(j, z[:, j, :], b, with_source=False)
-        z[:, j + 1, :] = ctx.diffusion.solve(v2)
+        b = ctx.births(beta_arr, j, z[:, j, :]) + ctx.births(delta_arr, j, p[:, j, :])
+        z[:, j + 1, :] = ctx._advance(j, z[:, j, :], b)
     out = SensitivitySolution(z=Field(grid, ("size", "time", "space"), z))
     out.z.check_finite()
     return out
@@ -166,9 +163,3 @@ def assemble_step_matrix(ctx: StepContext, beta, j: int, adjoint: bool = False) 
         mat[:, col] = out.ravel()
     return mat
 
-
-def solve_state_and_adjoint(vsc: ValidatedScenario, beta, ctx: StepContext | None = None):
-    """Convenience pair used by the optimizer loop and diagnostics."""
-    ctx = ctx or StepContext(vsc)
-    state = solve_state(vsc, beta, ctx=ctx)
-    return state, solve_adjoint(vsc, beta, state, ctx=ctx), ctx

@@ -1,5 +1,5 @@
-"""Growth characteristics: curve tracing, boundary curves, entry/exit times,
-and the exponential decay factor from the size divergence of the growth rate.
+"""Growth characteristics: curve tracing, the crossing-time bisection, and
+the exponential decay factor from the size divergence of the growth rate.
 
 Curves solve ds/dt = gamma(s, t) with classical RK4, stepping on a node set
 anchored to multiples of the grid time step.  Anchoring makes the quadrature
@@ -12,11 +12,10 @@ integrand is zero because the extended rate no longer varies with size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Grid3, GrowthCase, classify_growth_case_values
+from .model import Grid3
 from .rates import RateField
 
 RK4_SUBSTEPS = 4  # substeps per grid-dt leg; RK4 step is always <= dt
@@ -105,69 +104,6 @@ def _trace_raw(gamma: RateField, grid: Grid3, t0: float, s0: float, t_query: flo
     return float(trace_curve(gamma, grid, t0, s0, times)[-1])
 
 
-def integrate_characteristic(t0: float, s0: float, t_query: float,
-                             gamma: RateField, grid: Grid3) -> float:
-    """Size psi(t_query; t0, s0) of the growth curve through (t0, s0).
-
-    RK4 with steps bounded by the grid dt, forward or backward in time; the
-    result is clamped to [0, s_f] where the constant extension of the growth
-    rate would carry the curve outside the size domain.
-    """
-    return min(max(_trace_raw(gamma, grid, t0, s0, t_query), 0.0), grid.s_f)
-
-
-@dataclass(frozen=True)
-class CharacteristicPoint:
-    """One growth-curve evaluation: the curve through (t0, s0) reaches size
-    s at time t.  Growth is nonnegative, so s is nondecreasing in t - t0."""
-
-    t0: float
-    s0: float
-    t: float
-    s: float
-
-    @staticmethod
-    def trace(gamma: RateField, grid: Grid3, t0: float, s0: float,
-              t: float) -> "CharacteristicPoint":
-        return CharacteristicPoint(
-            t0=t0, s0=s0, t=t,
-            s=integrate_characteristic(t0, s0, t, gamma, grid),
-        )
-
-
-@dataclass(frozen=True)
-class BoundaryCurves:
-    """The two data-boundary curves sampled on the grid time levels:
-    z0(t) through (0, 0) and z1(t) through (T, s_f)."""
-
-    grid: Grid3
-    z0: np.ndarray
-    z1: np.ndarray
-
-    def __post_init__(self):
-        for name in ("z0", "z1"):
-            arr = np.ascontiguousarray(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-
-def boundary_curves(gamma: RateField, grid: Grid3) -> BoundaryCurves:
-    t = grid.t_points
-    z0 = np.minimum(trace_curve(gamma, grid, 0.0, 0.0, t), grid.s_f)
-    z1 = np.maximum(trace_curve(gamma, grid, grid.T, grid.s_f, t[::-1])[::-1], 0.0)
-    return BoundaryCurves(grid=grid, z0=np.maximum(z0, 0.0), z1=np.minimum(z1, grid.s_f))
-
-
-def classify_growth_case(gamma: RateField, grid: Grid3) -> GrowthCase:
-    """Growth case from the sign pattern of gamma at s = 0 and s = s_f."""
-    t = grid.t_points
-    g0 = gamma(s=np.zeros_like(t), t=t)
-    gf = gamma(s=np.full_like(t, grid.s_f), t=t)
-    if (g0 < 0).any() or (gf < 0).any():
-        raise ValueError("growth rate must be nonnegative at the size boundaries")
-    return classify_growth_case_values(g0, gf)
-
-
 def _bisect(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     flo = f(lo)
     fhi = f(hi)
@@ -187,41 +123,6 @@ def _bisect(f, lo: float, hi: float, tol: float = 1e-12) -> float:
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
-
-
-def entry_time(t: float, s: float, curves: BoundaryCurves, gamma: RateField) -> float:
-    """Time tau0 at which the curve through (t, s) left the newborn boundary.
-
-    Defined for growth cases a/b.  Below the boundary curve z0 the start time
-    solves psi(t; tau0, 0) = s by bisection; above it the curve originates
-    from the initial data and tau0 = 0.
-    """
-    grid = curves.grid
-    z0t = _trace_raw(gamma, grid, 0.0, 0.0, t)
-    if s > z0t:
-        return 0.0
-
-    def f(tau):
-        return _trace_raw(gamma, grid, tau, 0.0, t) - s
-
-    return _bisect(f, 0.0, t)
-
-
-def exit_time(t: float, s: float, curves: BoundaryCurves, gamma: RateField) -> float:
-    """Time tau1 at which the curve through (t, s) reaches s = s_f.
-
-    Defined for growth cases a/c.  Above the curve z1 the exit time solves
-    psi(t; tau1, s_f) = s; below it the curve never exits before T.
-    """
-    grid = curves.grid
-    z1t = _trace_raw(gamma, grid, grid.T, grid.s_f, t)
-    if s < z1t:
-        return grid.T
-
-    def f(tau):
-        return _trace_raw(gamma, grid, tau, grid.s_f, t) - s
-
-    return _bisect(f, t, grid.T)
 
 
 def decay_factor(t_from: float, t_to: float, t: float, s: float,

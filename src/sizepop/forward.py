@@ -1,20 +1,25 @@
 """Forward time marching of the size-structured density with diffusion.
 
-Each step from t_j to t_{j+1} is a Lie splitting of three sub-operators:
+Each step from t_j to t_{j+1} is an affine map built from four parts that
+StepContext precomputes once per scenario:
 
-  1. newborn boundary value from the birth integral (midpoint rule in size),
-  2. semi-Lagrangian transport along growth characteristics, scaled by the
-     decay factor from the size divergence of the growth rate, followed by
-     an exact-in-mortality reaction (multiply by exp(-mu*dt), add f*dt),
-  3. one backward-Euler diffusion step in space per size cell, with a
-     second-order Neumann ghost-point closure solved by the Thomas algorithm.
+  1. a renewal row: the newborn boundary value b from the birth integral
+     (midpoint rule in size), the only place the control enters,
+  2. a sparse transport matrix T_j of shape Ns x (Ns+1) acting on the
+     stacked slice [u; b]: semi-Lagrangian interpolation at the
+     characteristic feet, scaled by the decay factor from the size
+     divergence of the growth rate; column Ns carries the newborn boundary
+     value,
+  3. a reaction that is exact in mortality: multiply by E_j = exp(-mu*dt),
+     add the feed f*dt,
+  4. one backward-Euler diffusion step in space per size cell, with a
+     second-order Neumann ghost-point closure, solved by LAPACK dgtsv on the
+     three bands.
 
-Everything the step operator needs that does not depend on the control is
-precomputed once per scenario into a StepContext: characteristic feet and
-interpolation stencils, boundary-crossing times, decay factors, reaction
-coefficients and the prefactored tridiagonal diffusion matrix.  The one-step
-map is affine in the state, and the control enters only through the newborn
-boundary value, linearly; the adjoint module exploits both facts.
+The linearized step, the sensitivity march and the state march all apply
+these parts through one primitive; the adjoint applies T_j.T and solves with
+the transposed bands, so it is the exact transpose of the linear step by
+construction.
 """
 
 from __future__ import annotations
@@ -22,49 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
+from scipy.sparse import csr_array
 
 from .characteristics import RK4_SUBSTEPS, _bisect, _trace_raw, decay_factor, trace_curve
 from .model import Field, NumericalError, ValidatedScenario, control_array
 
 
-class TridiagFactor:
-    """Prefactored Thomas solve for a fixed tridiagonal matrix.
-
-    Solves A x = rhs for many right-hand sides, vectorized over leading axes
-    of `rhs`; `transposed()` returns the factor of A^T.
-    """
-
-    def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray):
-        n = len(diag)
-        self.sub = np.asarray(sub, dtype=float)
-        self.diag = np.asarray(diag, dtype=float)
-        self.sup = np.asarray(sup, dtype=float)
-        self.n = n
-        low = np.empty(n - 1)
-        dp = np.empty(n)
-        dp[0] = diag[0]
-        for i in range(1, n):
-            low[i - 1] = sub[i - 1] / dp[i - 1]
-            dp[i] = diag[i] - low[i - 1] * sup[i - 1]
-        self._low = low
-        self._dprime = dp
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        n = self.n
-        y = np.array(rhs, dtype=float, copy=True)
-        for i in range(1, n):
-            y[..., i] -= self._low[i - 1] * y[..., i - 1]
-        y[..., n - 1] /= self._dprime[n - 1]
-        for i in range(n - 2, -1, -1):
-            y[..., i] = (y[..., i] - self.sup[i] * y[..., i + 1]) / self._dprime[i]
-        return y
-
-    def transposed(self) -> "TridiagFactor":
-        return TridiagFactor(self.sup, self.diag, self.sub)
-
-
-def neumann_diffusion_factor(nx: int, dx: float, k: float, dt: float) -> TridiagFactor:
-    """Factor of I - k*dt*Lxx with ghost-point Neumann closure.
+def _neumann_bands(nx: int, dx: float, k: float,
+                   dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sub, diag, sup) bands of I - k*dt*Lxx with ghost-point Neumann closure.
 
     The closure doubles the off-diagonal entries in the boundary rows, which
     makes the trapezoid node weights a left null vector of Lxx: spatial mass
@@ -76,30 +48,34 @@ def neumann_diffusion_factor(nx: int, dx: float, k: float, dt: float) -> Tridiag
     sup = np.full(nx - 1, -a)
     sub[-1] = -2.0 * a
     sup[0] = -2.0 * a
-    return TridiagFactor(sub, diag, sup)
+    return sub, diag, sup
 
 
-@dataclass(frozen=True)
-class StepTables:
-    """Control-independent transport data for one time step.
+def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+                       rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs for each row of the (size, space) array `rhs`.
 
-    For each size cell: the interpolation stencil at the characteristic foot
-    (two cell indices and weights, premultiplied by the decay factor), the
-    coefficient on the newborn boundary value (from feet that crossed s = 0
-    during the step, or from interpolation below the first cell center), and
-    the effective reaction interval.
+    One dgtsv call; without pivoting it performs the Thomas elimination.
+    On the diffusion bands it pivots only in the last row, and only when
+    k*dt/dx^2 exceeds 1.37 (Nx = 3) to 2 (large Nx).  Swapping `sub` and
+    `sup` solves with A^T.
     """
-
-    lo_idx: np.ndarray
-    hi_idx: np.ndarray
-    lo_w: np.ndarray
-    hi_w: np.ndarray
-    bnode_w: np.ndarray
-    dt_eff: np.ndarray
+    _, _, _, x, info = dgtsv(sub, diag, sup, rhs.T)
+    if info != 0:
+        raise NumericalError(f"tridiagonal diffusion solve failed (dgtsv info={info})")
+    return x.T
 
 
 class StepContext:
-    """Precomputed stepping machinery for one validated scenario."""
+    """Precomputed stepping machinery for one validated scenario.
+
+    `transport[j]` is the CSR matrix T_j (Ns x (Ns+1)); every row holds three
+    entries in a fixed order, the two interpolation weights at the
+    characteristic foot (premultiplied by the decay factor) and the
+    coefficient on the newborn boundary value in column Ns.  `E[j]` and
+    `Fsrc[j]` are the reaction factor and feed over the effective reaction
+    interval, and `bands` the (sub, diag, sup) diffusion bands.
+    """
 
     def __init__(self, vsc: ValidatedScenario):
         self.vsc = vsc
@@ -110,7 +86,8 @@ class StepContext:
         ds, dt = grid.ds, grid.dt
         s = grid.s_centers
 
-        self.tables: list[StepTables] = []
+        self.transport: list[csr_array] = []
+        indptr = np.arange(0, 3 * ns + 1, 3)
         self.E = np.empty((nt, ns, nx))
         self.Fsrc = np.empty((nt, ns, nx))
         n_sub = RK4_SUBSTEPS
@@ -165,17 +142,18 @@ class StepContext:
                     else:
                         # no boundary data in cases c/d: constant extrapolation
                         lo_w[i] = q
-            self.tables.append(
-                StepTables(lo_idx=lo_idx, hi_idx=hi_idx, lo_w=lo_w, hi_w=hi_w,
-                           bnode_w=bnode_w, dt_eff=dt_eff)
-            )
+            cols = np.stack([lo_idx, hi_idx, np.full(ns, ns)], axis=1).ravel()
+            vals = np.stack([lo_w, hi_w, bnode_w], axis=1).ravel()
+            self.transport.append(csr_array((vals, cols, indptr), shape=(ns, ns + 1)))
             mu_mid = vsc.rates.mu(s=s_mid[:, None], t=t_mid[:, None], x=grid.x_points[None, :])
             f_mid = vsc.rates.f(s=s_mid[:, None], t=t_mid[:, None], x=grid.x_points[None, :])
             self.E[j] = np.exp(-mu_mid * dt_eff[:, None])
             self.Fsrc[j] = f_mid * dt_eff[:, None]
 
-        self.diffusion = neumann_diffusion_factor(nx, grid.dx, vsc.k, dt)
-        self.diffusion_T = self.diffusion.transposed()
+        # T_j.T shares T_j's arrays, but building the transposed matrix object
+        # costs more than the product itself on small grids: do it once
+        self._transport_T = [t.T for t in self.transport]
+        self.bands = _neumann_bands(nx, grid.dx, vsc.k, dt)
 
     # -- control-dependent pieces -------------------------------------------
 
@@ -184,37 +162,38 @@ class StepContext:
         grid = self.vsc.grid
         return self.vsc.r_grid[:, j, :] * beta[:, j, :] * (grid.ds / self.vsc.gamma0_t[j])
 
+    def births(self, beta: np.ndarray, j: int, u: np.ndarray) -> np.ndarray:
+        """Renewal row applied to a slice: the birth integral over size.
+
+        Zero in growth cases c/d, which have no renewal boundary.
+        """
+        if not self.has_renewal:
+            return np.zeros(self.vsc.grid.Nx)
+        return (self.renewal_weights(beta, j) * u).sum(axis=0)
+
     def newborn_value(self, beta: np.ndarray, j: int, p_slice: np.ndarray) -> np.ndarray:
         """Boundary density p(0, t_j, x) from immigration plus births."""
         if not self.has_renewal:
             return np.zeros(self.vsc.grid.Nx)
-        rb = self.renewal_weights(beta, j)
-        return (rb * p_slice).sum(axis=0) + self.vsc.C_grid[j] / self.vsc.gamma0_t[j]
+        return self.births(beta, j, p_slice) + self.vsc.C_grid[j] / self.vsc.gamma0_t[j]
 
-    def transport_reaction(self, j: int, p_slice: np.ndarray, b: np.ndarray,
-                           with_source: bool = True) -> np.ndarray:
-        tb = self.tables[j]
-        v = (tb.lo_w[:, None] * p_slice[tb.lo_idx, :]
-             + tb.hi_w[:, None] * p_slice[tb.hi_idx, :]
-             + tb.bnode_w[:, None] * b[None, :])
-        out = self.E[j] * v
-        if with_source:
-            out += self.Fsrc[j]
-        return out
+    def _advance(self, j: int, u: np.ndarray, b: np.ndarray,
+                 source: bool = False) -> np.ndarray:
+        """Slice at level j+1 from slice `u` and newborn value `b` at level j:
+        transport, reaction (with the feed when `source`) and diffusion."""
+        v = self.E[j] * (self.transport[j] @ np.concatenate((u, b[None, :])))
+        if source:
+            v += self.Fsrc[j]
+        return _solve_tridiagonal(*self.bands, v)
 
     def step(self, beta: np.ndarray, j: int, p_slice: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Full affine step: returns (p at level j+1, newborn value at level j)."""
         b = self.newborn_value(beta, j, p_slice)
-        v2 = self.transport_reaction(j, p_slice, b)
-        return self.diffusion.solve(v2), b
+        return self._advance(j, p_slice, b, source=True), b
 
     def apply_step_linear(self, beta: np.ndarray, j: int, u: np.ndarray) -> np.ndarray:
         """Linear part of the one-step map (immigration and feed dropped)."""
-        if self.has_renewal:
-            b = (self.renewal_weights(beta, j) * u).sum(axis=0)
-        else:
-            b = np.zeros(self.vsc.grid.Nx)
-        return self.diffusion.solve(self.transport_reaction(j, u, b, with_source=False))
+        return self._advance(j, u, self.births(beta, j, u))
 
     def apply_step_adjoint(self, beta: np.ndarray, j: int,
                            lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,12 +203,10 @@ class StepContext:
         boundary value, which is the raw material for the adjoint trace at
         s = 0.
         """
-        tb = self.tables[j]
-        m = self.E[j] * self.diffusion_T.solve(lam)
-        out = np.zeros_like(lam)
-        np.add.at(out, tb.lo_idx, tb.lo_w[:, None] * m)
-        np.add.at(out, tb.hi_idx, tb.hi_w[:, None] * m)
-        yhat = (tb.bnode_w[:, None] * m).sum(axis=0)
+        sub, diag, sup = self.bands
+        m = self.E[j] * _solve_tridiagonal(sup, diag, sub, lam)
+        w = self._transport_T[j] @ m
+        out, yhat = w[:-1], w[-1]
         if self.has_renewal:
             out += self.renewal_weights(beta, j) * yhat[None, :]
         return out, yhat
@@ -247,43 +224,13 @@ class StateSolution:
     beta: np.ndarray
 
 
-def compute_renewal(p_slice: Field, rates, beta_slice, t: float) -> Field:
-    """Newborn density p(0, t, x) = [C + birth integral] / gamma(0, t).
-
-    `p_slice` and `beta_slice` are (size, space) fields at time t; the birth
-    integral uses the midpoint rule over size cells.  Only growth cases with
-    gamma(0, t) > 0 carry this boundary condition.
-    """
-    grid = p_slice.grid
-    g0 = float(rates.gamma(s=0.0, t=t))
-    if g0 <= 0.0:
-        raise ValueError("renewal undefined in growth case c/d: gamma(0,t) <= 0")
-    s = grid.s_centers[:, None]
-    x = grid.x_points[None, :]
-    rv = rates.r(s=s, t=t, x=x)
-    bv = beta_slice.values if isinstance(beta_slice, Field) else np.broadcast_to(
-        np.asarray(beta_slice, dtype=float), (grid.Ns, grid.Nx))
-    integral = (rv * bv * p_slice.values).sum(axis=0) * grid.ds
-    cval = rates.C(t=np.full(grid.Nx, t), x=grid.x_points)
-    return Field(grid, ("space",), (cval + integral) / g0)
-
-
-def step_transport_reaction(vsc: ValidatedScenario, p_j: Field, beta, j: int,
-                            ctx: StepContext | None = None) -> Field:
-    """Transport + reaction part of one step (everything but diffusion)."""
-    ctx = ctx or StepContext(vsc)
-    beta_arr = control_array(vsc, beta)
-    b = ctx.newborn_value(beta_arr, j, p_j.values)
-    return Field(vsc.grid, ("size", "space"), ctx.transport_reaction(j, p_j.values, b))
-
-
 def step_diffusion(p_tilde: Field, k: float, dt: float) -> Field:
     """One backward-Euler Neumann diffusion step per size cell."""
     if not k > 0:
         raise ValueError("diffusion coefficient must be positive")
     grid = p_tilde.grid
-    factor = neumann_diffusion_factor(grid.Nx, grid.dx, k, dt)
-    return Field(grid, p_tilde.axes, factor.solve(p_tilde.values))
+    bands = _neumann_bands(grid.Nx, grid.dx, k, dt)
+    return Field(grid, p_tilde.axes, _solve_tridiagonal(*bands, p_tilde.values))
 
 
 def total_population(p: Field) -> np.ndarray:

@@ -317,14 +317,28 @@ class ValidatedScenario:
         return replace(self, scenario=sc)
 
     def with_tolerances(self, **kw) -> "ValidatedScenario":
-        sc = replace(self.scenario, tolerances=replace(self.scenario.tolerances, **kw))
-        return replace(self, scenario=sc)
+        tol = replace(self.scenario.tolerances, **kw)
+        violations = _tolerance_violations(tol)
+        if violations:
+            raise ScenarioValidationError(violations)
+        return replace(self, scenario=replace(self.scenario, tolerances=tol))
 
 
 def _first_bad(mask: np.ndarray, axes: tuple[str, ...]) -> str:
     idx = tuple(int(v) for v in np.argwhere(mask)[0])
     labels = {"size": "i", "time": "j", "space": "k"}
     return "(" + ",".join(f"{labels[a]}={v}" for a, v in zip(axes, idx)) + ")"
+
+
+def _tolerance_violations(tol: Tolerances) -> list[str]:
+    """Checked at validation and again on every with_tolerances override."""
+    checks = (
+        ("fixed_point_tol > 0", tol.fixed_point_tol > 0, tol.fixed_point_tol),
+        ("max_iters >= 1", tol.max_iters >= 1, tol.max_iters),
+        ("relax_omega in (0,1]", 0 < tol.relax_omega <= 1, tol.relax_omega),
+    )
+    return [f"tolerance invariant violated: {rule} (got {value})"
+            for rule, ok, value in checks if not ok]
 
 
 def classify_growth_case_values(gamma0_t: np.ndarray, gamma_sf_t: np.ndarray) -> GrowthCase:
@@ -399,10 +413,7 @@ def validate_scenario(sc: Scenario) -> ValidatedScenario:
         violations.append(f"cost invariant violated: c > 0 (got {sc.cost.c})")
     if sc.cost.sign_variant not in ("minus", "plus"):
         violations.append(f"cost invariant violated: unknown sign_variant {sc.cost.sign_variant!r}")
-    if not 0 < sc.tolerances.relax_omega <= 1:
-        violations.append(
-            f"tolerance invariant violated: relax_omega in (0,1] (got {sc.tolerances.relax_omega})"
-        )
+    violations.extend(_tolerance_violations(sc.tolerances))
 
     growth_case = None
     try:

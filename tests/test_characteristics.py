@@ -1,5 +1,5 @@
-"""Growth-curve machinery: tracing, case classification, entry/exit times,
-decay factors, and their structural properties."""
+"""Growth-curve machinery: tracing, case classification, decay factors, and
+their structural properties."""
 
 from __future__ import annotations
 
@@ -7,16 +7,9 @@ import numpy as np
 import pytest
 
 from sizepop import rates as rate_lib
-from sizepop.characteristics import (
-    CharacteristicPoint,
-    boundary_curves,
-    classify_growth_case,
-    decay_factor,
-    entry_time,
-    exit_time,
-    integrate_characteristic,
-)
+from sizepop.characteristics import decay_factor, trace_curve
 from sizepop.model import Grid3
+from conftest import unit_scenario
 
 GRID = Grid3(Ns=10, Nt=20, Nx=3, s_f=1.0, T=1.0, L=1.0)
 
@@ -29,70 +22,52 @@ GAMMA_LOGISTIC = rate_lib.from_callable(
 GAMMA_DECR = rate_lib.from_preset("linear-in-s", ("size", "time"), {"a": 1.0, "b": -1.0})
 
 
+def psi(gamma, t0, s0, t, grid=GRID, legs=20):
+    """Size at time t on the curve through (t0, s0), clamped to [0, s_f] as
+    StepContext clamps the characteristic feet."""
+    s = float(trace_curve(gamma, grid, t0, s0, np.linspace(t0, t, legs + 1))[-1])
+    return min(max(s, 0.0), grid.s_f)
+
+
 class TestClassify:
+    @staticmethod
+    def tag(gamma):
+        return unit_scenario(GRID, gamma=gamma).growth_case.tag
+
     def test_positive_constant_is_case_a(self):
-        assert classify_growth_case(GAMMA_CONST, GRID).tag == "a"
+        assert self.tag(GAMMA_CONST) == "a"
 
     def test_vanishing_at_both_ends_is_case_d(self):
-        assert classify_growth_case(GAMMA_LOGISTIC, GRID).tag == "d"
+        assert self.tag(GAMMA_LOGISTIC) == "d"
 
     def test_vanishing_at_top_is_case_b(self):
-        assert classify_growth_case(GAMMA_DECR, GRID).tag == "b"
+        assert self.tag(GAMMA_DECR) == "b"
 
     def test_vanishing_at_bottom_is_case_c(self):
-        assert classify_growth_case(GAMMA_LIN_S, GRID).tag == "c"
+        assert self.tag(GAMMA_LIN_S) == "c"
 
 
 class TestIntegrate:
     def test_unit_growth(self):
-        assert integrate_characteristic(0.0, 0.0, 0.5, GAMMA_CONST, GRID) == pytest.approx(0.5, abs=1e-12)
+        assert psi(GAMMA_CONST, 0.0, 0.0, 0.5) == pytest.approx(0.5, abs=1e-12)
 
     def test_exponential_growth(self):
-        got = integrate_characteristic(0.0, 0.2, 1.0, GAMMA_LIN_S, GRID)
+        got = psi(GAMMA_LIN_S, 0.0, 0.2, 1.0)
         assert got == pytest.approx(0.2 * np.e, abs=1e-9)
 
     def test_time_dependent_growth(self):
         # ds/dt = 1 + t from (0, 0): s(1) = 1 + 1/2
-        got = integrate_characteristic(0.0, 0.0, 1.0, GAMMA_1PT, GRID)
+        got = psi(GAMMA_1PT, 0.0, 0.0, 1.0)
         # clamped at s_f = 1 since the curve exits the size domain
         assert got == pytest.approx(1.0, abs=1e-12)
         wide = Grid3(Ns=10, Nt=20, Nx=3, s_f=2.0, T=1.0, L=1.0)
-        got = integrate_characteristic(0.0, 0.0, 1.0, GAMMA_1PT, wide)
+        got = psi(GAMMA_1PT, 0.0, 0.0, 1.0, wide)
         assert got == pytest.approx(1.5, abs=1e-9)
 
     def test_backward_inverts_forward(self):
-        s1 = integrate_characteristic(0.1, 0.2, 0.8, GAMMA_LOGISTIC, GRID)
-        back = integrate_characteristic(0.8, s1, 0.1, GAMMA_LOGISTIC, GRID)
+        s1 = psi(GAMMA_LOGISTIC, 0.1, 0.2, 0.8)
+        back = psi(GAMMA_LOGISTIC, 0.8, s1, 0.1)
         assert back == pytest.approx(0.2, abs=1e-10)
-
-
-class TestEntryTime:
-    def test_below_boundary_curve(self):
-        curves = boundary_curves(GAMMA_CONST, GRID)
-        assert entry_time(0.8, 0.3, curves, GAMMA_CONST) == pytest.approx(0.5, abs=1e-9)
-
-    def test_above_boundary_curve_returns_zero(self):
-        curves = boundary_curves(GAMMA_CONST, GRID)
-        assert entry_time(0.3, 0.5, curves, GAMMA_CONST) == 0.0
-
-    def test_on_boundary_curve_returns_zero(self):
-        curves = boundary_curves(GAMMA_LOGISTIC, GRID)
-        z0_04 = integrate_characteristic(0.0, 0.0, 0.4, GAMMA_LOGISTIC, GRID)
-        assert entry_time(0.4, z0_04, curves, GAMMA_LOGISTIC) == pytest.approx(0.0, abs=1e-9)
-
-
-class TestExitTime:
-    def test_above_final_curve(self):
-        curves = boundary_curves(GAMMA_CONST, GRID)
-        assert exit_time(0.2, 0.6, curves, GAMMA_CONST) == pytest.approx(0.6, abs=1e-9)
-
-    def test_below_final_curve_returns_horizon(self):
-        curves = boundary_curves(GAMMA_CONST, GRID)
-        assert exit_time(0.9, 0.2, curves, GAMMA_CONST) == GRID.T
-
-    def test_horizon_corner(self):
-        curves = boundary_curves(GAMMA_CONST, GRID)
-        assert exit_time(GRID.T, GRID.s_f, curves, GAMMA_CONST) == pytest.approx(GRID.T, abs=1e-9)
 
 
 class TestDecayFactor:
@@ -108,20 +83,9 @@ class TestDecayFactor:
 
 
 def test_characteristic_point_identity_and_monotonicity():
-    pt0 = CharacteristicPoint.trace(GAMMA_LOGISTIC, GRID, 0.3, 0.4, 0.3)
-    assert pt0.s == pt0.s0 == 0.4
-    sizes = [CharacteristicPoint.trace(GAMMA_LOGISTIC, GRID, 0.3, 0.4, t).s
-             for t in np.linspace(0.3, 1.0, 8)]
+    sizes = trace_curve(GAMMA_LOGISTIC, GRID, 0.3, 0.4, np.linspace(0.3, 1.0, 8))
+    assert sizes[0] == 0.4
     assert all(b >= a - 1e-12 for a, b in zip(sizes[:-1], sizes[1:]))
-
-
-def test_boundary_curves_anchored_and_monotone():
-    for gamma in (GAMMA_CONST, GAMMA_DECR):
-        curves = boundary_curves(gamma, GRID)
-        assert curves.z0[0] == 0.0
-        assert curves.z1[-1] == GRID.s_f
-        assert (np.diff(curves.z0) >= -1e-12).all()
-        assert (np.diff(curves.z1) >= -1e-12).all()
 
 
 class TestProperties:
@@ -136,30 +100,10 @@ class TestProperties:
             for _ in range(20):
                 t0, t1, t2 = np.sort(rng.uniform(0.0, GRID.T, size=3))
                 s0 = rng.uniform(0.05, 0.95)
-                mid = integrate_characteristic(t0, s0, t1, gamma, GRID)
-                comp = integrate_characteristic(t1, mid, t2, gamma, GRID)
-                direct = integrate_characteristic(t0, s0, t2, gamma, GRID)
+                mid = psi(gamma, t0, s0, t1)
+                comp = psi(gamma, t1, mid, t2)
+                direct = psi(gamma, t0, s0, t2)
                 assert comp == pytest.approx(direct, abs=1e-9)
-
-    def test_entry_time_then_forward_recovers_size(self, rng):
-        gamma = rate_lib.from_preset("separable-product", ("size", "time"),
-                                     {"a": 0.8, "bs": 0.3, "bt": 0.2})
-        curves = boundary_curves(gamma, GRID)
-        for _ in range(20):
-            t = rng.uniform(0.2, GRID.T)
-            z0t = integrate_characteristic(0.0, 0.0, t, gamma, GRID)
-            s = rng.uniform(0.0, min(z0t, GRID.s_f) * 0.999)
-            tau0 = entry_time(t, s, curves, gamma)
-            back = integrate_characteristic(tau0, 0.0, t, gamma, GRID)
-            assert back == pytest.approx(s, abs=1e-9)
-
-    def test_entry_time_nonincreasing_in_size(self):
-        gamma = self.GAMMAS[2]
-        curves = boundary_curves(gamma, GRID)
-        t = 0.9
-        z0t = integrate_characteristic(0.0, 0.0, t, gamma, GRID)
-        taus = [entry_time(t, s, curves, gamma) for s in np.linspace(0.0, z0t * 0.999, 15)]
-        assert all(a >= b - 1e-12 for a, b in zip(taus[:-1], taus[1:]))
 
     def test_decay_positive_and_multiplicative(self, rng):
         # adjacent grid-aligned intervals compose exactly

@@ -9,7 +9,7 @@ import pytest
 
 from sizepop.cli import main
 from sizepop.model import Grid3, validate_scenario
-from sizepop.oracles import run_oracles
+from sizepop.oracles import oracle_transpose_duality, run_oracles
 from sizepop.scenario_io import (
     ScenarioFileError,
     parse_scenario,
@@ -166,6 +166,25 @@ class TestSubcommands:
         assert main(["simulate", "--scenario", scenario, "--beta", str(beta_path),
                      "--out", str(tmp_path / "nf")]) == 3
 
+    @pytest.mark.parametrize("key, value, flags", [
+        ("max_iters", 0, ["--max-iters", "0"]),
+        ("max_iters", -3, ["--max-iters", "-3"]),
+        ("fixed_point_tol", 0.0, ["--tol", "0"]),
+        ("fixed_point_tol", -1e-9, ["--tol=-1e-9"]),
+    ])
+    def test_bad_iteration_tolerances_are_usage_errors(self, tmp_path, capsys, key, value, flags):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["tolerances"][key] = value
+        from_file = ["optimize", "--scenario", _write(tmp_path, doc, "bad.json"),
+                     "--out", str(tmp_path / "f")]
+        from_flag = ["optimize", "--scenario", _write(tmp_path, MINIMAL),
+                     "--out", str(tmp_path / "o"), *flags]
+        for argv in (from_file, from_flag):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert key in err
+            assert "Traceback" not in err
+
     def test_invalid_scenario_is_usage_error(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
         doc["rates"]["r"] = 1.0  # violates the female-ratio assumption
@@ -185,6 +204,14 @@ class TestSubcommands:
 
     def test_unknown_oracle_is_usage_error(self):
         assert main(["oracle", "--only", "nonexistent"]) == 1
+
+
+@pytest.mark.parametrize("seed", [72, 152, 154, 280, 287, 388])
+def test_duality_oracle_on_seeds_where_the_pairing_cancels(seed):
+    # <Au, v> cancels to about 1e-5 of |Au| |v| on these seeds, so a defect
+    # relative to |<Au, v>| read as a failure although the step is exact
+    assert oracle_transpose_duality(seed=seed)["passed"]
+    assert not oracle_transpose_duality(seed=seed, corrupt_adjoint_sign=True)["passed"]
 
 
 def test_corrupted_adjoint_fails_duality_oracle():

@@ -1,4 +1,4 @@
-"""Forward solver: renewal, transport/reaction, diffusion, full marching."""
+"""Forward solver: renewal row, transport/reaction, diffusion, full marching."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ import pytest
 
 import sizepop as sp
 from sizepop import rates as rate_lib
-from sizepop.forward import compute_renewal, step_diffusion, \
-    step_transport_reaction, total_population
+from sizepop.forward import StepContext, _solve_tridiagonal, step_diffusion, total_population
 from sizepop.model import (
     ControlBounds,
     Field,
@@ -16,6 +15,7 @@ from sizepop.model import (
     NumericalError,
     Scenario,
     VitalRates,
+    control_array,
     validate_scenario,
 )
 from sizepop.presets import mass_balance_preset, random_nonneg_scenario
@@ -23,60 +23,69 @@ from conftest import unit_scenario
 
 
 class TestComputeRenewal:
+    """The renewal row of StepContext: newborn value from the birth integral."""
+
     GRID = Grid3(Ns=10, Nt=10, Nx=3, s_f=1.0, T=1.0, L=1.0)
+
+    def newborn(self, vsc, beta, j=3):
+        # j = 3 is t = 0.3
+        ctx = StepContext(vsc)
+        ones = np.ones((self.GRID.Ns, self.GRID.Nx))
+        return ctx.newborn_value(control_array(vsc, beta), j, ones)
 
     def test_birth_integral(self):
         vsc = unit_scenario(self.GRID, gamma=1.0, r=0.5, C=0.0)
-        ones = Field.full(self.GRID, ("size", "space"), 1.0)
-        out = compute_renewal(ones, vsc.rates, 2.0, t=0.3)
-        np.testing.assert_allclose(out.values, 1.0, atol=1e-14)
+        np.testing.assert_allclose(self.newborn(vsc, 2.0), 1.0, atol=1e-14)
 
     def test_additive_inflow(self):
         vsc = unit_scenario(self.GRID, gamma=1.0, r=0.5, C=0.3)
-        ones = Field.full(self.GRID, ("size", "space"), 1.0)
-        out = compute_renewal(ones, vsc.rates, 2.0, t=0.3)
-        np.testing.assert_allclose(out.values, 1.3, atol=1e-14)
+        np.testing.assert_allclose(self.newborn(vsc, 2.0), 1.3, atol=1e-14)
 
     def test_no_births_no_inflow(self):
         vsc = unit_scenario(self.GRID, gamma=1.0, r=0.5, C=0.0)
-        ones = Field.full(self.GRID, ("size", "space"), 1.0)
-        out = compute_renewal(ones, vsc.rates, 0.0, t=0.3)
-        np.testing.assert_allclose(out.values, 0.0, atol=1e-14)
+        np.testing.assert_allclose(self.newborn(vsc, 0.0), 0.0, atol=1e-14)
 
     def test_undefined_without_boundary_growth(self):
+        # growth case c has no renewal boundary: births and inflow never
+        # reach the state, and no transport row reads the newborn column
         gamma = rate_lib.from_preset("linear-in-s", ("size", "time"), {"a": 0.0, "b": 1.0})
-        vsc = unit_scenario(self.GRID, gamma=gamma)
-        ones = Field.full(self.GRID, ("size", "space"), 1.0)
-        with pytest.raises(ValueError, match="growth case c/d"):
-            compute_renewal(ones, vsc.rates, 1.0, t=0.3)
+        vsc = unit_scenario(self.GRID, gamma=gamma, C=0.3)
+        ctx = StepContext(vsc)
+        assert not ctx.has_renewal
+        assert np.abs(self.newborn(vsc, 1.0)).max() == 0.0
+        assert all(t.sum(axis=0)[-1] == 0.0 for t in ctx.transport)
 
 
 class TestStepTransportReaction:
+    """One StepContext step with inert diffusion is transport plus reaction."""
+
+    @staticmethod
+    def step(vsc, p_j, beta, j=0):
+        ctx = StepContext(vsc)
+        return ctx.step(control_array(vsc, beta), j, p_j)[0]
+
     def test_pure_shift_of_linear_profile(self):
         grid = Grid3(Ns=10, Nt=10, Nx=3, s_f=1.0, T=1.0, L=1.0)
         vsc = unit_scenario(grid, gamma=1.0, mu=0.0)
-        p_j = Field(grid, ("size", "space"),
-                    np.tile(grid.s_centers[:, None], (1, grid.Nx)))
-        out = step_transport_reaction(vsc, p_j, 0.0, j=0)
+        p_j = np.tile(grid.s_centers[:, None], (1, grid.Nx))
+        out = self.step(vsc, p_j, 0.0)
         # interior cells: value shifts down by dt = 0.1 exactly
         for i in range(2, grid.Ns):
-            np.testing.assert_allclose(out.values[i], grid.s_centers[i] - 0.1, atol=1e-12)
+            np.testing.assert_allclose(out[i], grid.s_centers[i] - 0.1, atol=1e-12)
 
     def test_expanding_growth_scales_by_decay_factor(self):
         grid = Grid3(Ns=10, Nt=10, Nx=3, s_f=1.0, T=1.0, L=1.0)
         gamma = rate_lib.from_preset("linear-in-s", ("size", "time"), {"a": 0.0, "b": 1.0})
         vsc = unit_scenario(grid, gamma=gamma, mu=0.0)
-        ones = Field.full(grid, ("size", "space"), 1.0)
-        out = step_transport_reaction(vsc, ones, 0.0, j=0)
-        np.testing.assert_allclose(out.values, np.exp(-grid.dt), atol=1e-12)
+        out = self.step(vsc, np.ones((grid.Ns, grid.Nx)), 0.0)
+        np.testing.assert_allclose(out, np.exp(-grid.dt), atol=1e-12)
 
     def test_exact_mortality_decay(self):
         grid = Grid3(Ns=10, Nt=10, Nx=3, s_f=1.0, T=1.0, L=1.0)
         vsc = unit_scenario(grid, gamma=1.0, mu=0.3)
-        ones = Field.full(grid, ("size", "space"), 1.0)
-        out = step_transport_reaction(vsc, ones, 0.0, j=0)
+        out = self.step(vsc, np.ones((grid.Ns, grid.Nx)), 0.0)
         for i in range(2, grid.Ns):
-            np.testing.assert_allclose(out.values[i], np.exp(-0.3 * grid.dt), atol=1e-12)
+            np.testing.assert_allclose(out[i], np.exp(-0.3 * grid.dt), atol=1e-12)
 
 
 class TestStepDiffusion:
@@ -105,6 +114,12 @@ class TestStepDiffusion:
         out = step_diffusion(Field(grid, ("size", "space"), np.tile(mode, (2, 1))),
                              self.K, self.DT)
         assert np.abs(out.values - factor * mode[None, :]).max() <= 1e-12
+
+
+    def test_singular_bands_raise_numerical_error(self):
+        ones = np.ones(1)
+        with pytest.raises(NumericalError, match="dgtsv info=2"):
+            _solve_tridiagonal(ones, np.ones(2), ones, np.ones((3, 2)))
 
 
 class TestSolveState:

@@ -1,0 +1,133 @@
+"""The sparse step operator against a loop reference of the same scheme.
+
+The reference gathers the interpolation stencil with fancy indexing,
+scatters the adjoint with np.add.at and solves the diffusion bands with a
+Thomas loop.  It reads the stencil weights out of StepContext.transport
+(three entries per row: lower cell, upper cell, newborn column) and the
+reaction arrays E and Fsrc, so it checks how the step applies them, not how
+they were built.  The forward arithmetic is the same operation for
+operation, so the state must agree bit for bit; the adjoint scatter sums in
+another order and is held to 1e-14 relative.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from sizepop import rates as rate_lib
+from sizepop.adjoint import solve_adjoint
+from sizepop.forward import StepContext, solve_state
+from sizepop.presets import brute_force_instance, smooth_default, tiny_random
+from sizepop.model import Grid3
+from conftest import unit_scenario
+
+
+def thomas(sub, diag, sup, rhs):
+    """Thomas elimination along the last axis, no pivoting."""
+    n = len(diag)
+    low = np.empty(n - 1)
+    dp = np.empty(n)
+    dp[0] = diag[0]
+    for i in range(1, n):
+        low[i - 1] = sub[i - 1] / dp[i - 1]
+        dp[i] = diag[i] - low[i - 1] * sup[i - 1]
+    y = np.array(rhs, dtype=float, copy=True)
+    for i in range(1, n):
+        y[..., i] -= low[i - 1] * y[..., i - 1]
+    y[..., n - 1] /= dp[n - 1]
+    for i in range(n - 2, -1, -1):
+        y[..., i] = (y[..., i] - sup[i] * y[..., i + 1]) / dp[i]
+    return y
+
+
+def bands(vsc):
+    grid = vsc.grid
+    a = vsc.k * grid.dt / grid.dx**2
+    sub = np.full(grid.Nx - 1, -a)
+    sup = np.full(grid.Nx - 1, -a)
+    sub[-1] = -2.0 * a
+    sup[0] = -2.0 * a
+    return sub, np.full(grid.Nx, 1.0 + 2.0 * a), sup
+
+
+def stencil(ctx, j):
+    t = ctx.transport[j]
+    cols = t.indices.reshape(-1, 3)
+    w = t.data.reshape(-1, 3)
+    return cols[:, 0], cols[:, 1], w[:, 0], w[:, 1], w[:, 2]
+
+
+def renewal(vsc, beta, j):
+    return vsc.r_grid[:, j, :] * beta[:, j, :] * (vsc.grid.ds / vsc.gamma0_t[j])
+
+
+def reference_state(vsc, ctx, beta):
+    grid = vsc.grid
+    sub, diag, sup = bands(vsc)
+    p = np.empty((grid.Ns, grid.Nt + 1, grid.Nx))
+    p[:, 0, :] = vsc.p0_grid
+    for j in range(grid.Nt):
+        lo, hi, lo_w, hi_w, b_w = stencil(ctx, j)
+        pj = p[:, j, :]
+        if ctx.has_renewal:
+            b = (renewal(vsc, beta, j) * pj).sum(axis=0) + vsc.C_grid[j] / vsc.gamma0_t[j]
+        else:
+            b = np.zeros(grid.Nx)
+        v = lo_w[:, None] * pj[lo, :] + hi_w[:, None] * pj[hi, :] + b_w[:, None] * b[None, :]
+        p[:, j + 1, :] = thomas(sub, diag, sup, ctx.E[j] * v + ctx.Fsrc[j])
+    return p
+
+
+def reference_adjoint(vsc, ctx, beta):
+    grid = vsc.grid
+    sub, diag, sup = bands(vsc)
+    c = vsc.cost.c
+    wx = grid.space_weights() * grid.dx
+    source = grid.ds * grid.dt * wx[None, :] * np.ones((grid.Ns, 1))
+    lam = np.zeros((grid.Ns, grid.Nx))
+    phi = np.zeros((grid.Ns, grid.Nt + 1, grid.Nx))
+    phi0 = np.zeros((grid.Nt + 1, grid.Nx))
+    for j in range(grid.Nt - 1, -1, -1):
+        lo, hi, lo_w, hi_w, b_w = stencil(ctx, j)
+        m = ctx.E[j] * thomas(sup, diag, sub, lam)
+        out = np.zeros_like(lam)
+        np.add.at(out, lo, lo_w[:, None] * m)
+        np.add.at(out, hi, hi_w[:, None] * m)
+        yhat = (b_w[:, None] * m).sum(axis=0)
+        if ctx.has_renewal:
+            out += renewal(vsc, beta, j) * yhat[None, :]
+            phi0[j] = -c * yhat / (vsc.gamma0_t[j] * grid.dt * wx)
+        lam = out + source
+        phi[:, j, :] = -c * lam / (grid.ds * wx[None, :])
+    return phi, phi0
+
+
+def growth_case_c():
+    grid = Grid3(Ns=8, Nt=6, Nx=4, s_f=1.0, T=1.0, L=1.0)
+    gamma = rate_lib.from_preset("linear-in-s", ("size", "time"), {"a": 0.0, "b": 1.0})
+    return unit_scenario(grid, gamma=gamma, mu=0.2, f=0.05, C=0.1, k=0.02)
+
+
+SCENARIOS = {
+    "smooth_default": lambda: smooth_default(20, 20, 10),
+    "brute_force_instance": brute_force_instance,
+    **{f"tiny_random_{s}": (lambda s=s: tiny_random(seed=s)) for s in range(5)},
+    "growth_case_c": growth_case_c,
+}
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_step_operator_matches_loop_reference(name):
+    vsc = SCENARIOS[name]()
+    ctx = StepContext(vsc)
+    grid = vsc.grid
+    beta = 0.2 + 0.5 * np.random.default_rng(7).random((grid.Ns, grid.Nt + 1, grid.Nx))
+
+    state = solve_state(vsc, beta, ctx=ctx)
+    assert np.array_equal(state.p.values, reference_state(vsc, ctx, beta))
+
+    adj = solve_adjoint(vsc, beta, state, ctx=ctx)
+    phi, phi0 = reference_adjoint(vsc, ctx, beta)
+    for got, want in ((adj.phi.values, phi), (adj.phi_at_zero.values, phi0)):
+        assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1e-300)
