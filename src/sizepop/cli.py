@@ -39,7 +39,9 @@ EXIT_NUMERICAL = 3
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
-    h.update(path.read_bytes())
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
     return h.hexdigest()
 
 
@@ -178,8 +180,17 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK if report["all_passed"] else EXIT_CHECK_FAILED
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with usage errors mapped to EXIT_USAGE instead of 2, which
+    this CLI reserves for a failed oracle or check."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="sizepop",
         description="Size-structured population solver with diffusion and "
                     "adjoint-based optimal fertility control.",

@@ -8,11 +8,15 @@ misspelled rate cannot silently fall back to a default.  Rates are numbers
 Fields serialize to CSV with the fixed header ``s,t,x,value``; rows iterate
 size-major, then time, then space over the axes the field actually has, and
 the columns of inactive axes stay empty.  Values print with 17 significant
-digits, which round-trips float64 bit-exactly.
+digits, which round-trips float64 bit-exactly.  The writer streams the file
+one slice of the leading axis at a time; the reader checks the header and
+column counts on the raw bytes, parses the used columns in one
+``np.loadtxt`` pass and compares each coordinate column with the grid.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -146,22 +150,60 @@ def parse_scenario(path) -> Scenario:
     return scenario_from_dict(doc, where=str(path))
 
 
+_AXES = ("size", "time", "space")
 _AXIS_COLUMN = {"size": 0, "time": 1, "space": 2}
+_HEADER = "s,t,x,value"
 
 
 def write_field_csv(field: Field, path) -> None:
-    """Serialize a field; see the module docstring for the format."""
-    grid = field.grid
-    coords = [grid.axis_coords(a) for a in field.axes]
-    flat = field.values.reshape(-1)
-    lines = ["s,t,x,value"]
-    idx_shape = tuple(len(c) for c in coords)
-    for flat_i, multi in enumerate(np.ndindex(*idx_shape)):
-        cols = ["", "", ""]
-        for a, m in zip(field.axes, multi):
-            cols[_AXIS_COLUMN[a]] = f"{coords[field.axes.index(a)][m]:.17g}"
-        lines.append(f"{cols[0]},{cols[1]},{cols[2]},{flat[flat_i]:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Serialize a field; see the module docstring for the format.
+
+    Each axis's coordinates are formatted once.  The file is written one
+    slice of the leading axis at a time, each slice through one ``%``
+    template, so only one slice's text is ever held in memory.
+    """
+    columns = [[f"{c:.17g}" for c in field.grid.axis_coords(a)] if a in field.axes else [""]
+               for a in _AXES]
+    lead = _AXIS_COLUMN[field.axes[0]]
+    # the rows of one slice, each after its leading coordinate: ",<cols>,%.17g\n"
+    tails = ["".join("," + c for c in combo) + ",%.17g\n"
+             for combo in itertools.product(*columns[lead + 1:])]
+    values = field.values.reshape(len(columns[lead]), len(tails))
+    with open(path, "w") as fh:
+        fh.write(_HEADER + "\n")
+        for coord, row in zip(columns[lead], values):
+            prefix = "," * lead + coord
+            fh.write((prefix + prefix.join(tails)) % tuple(row.tolist()))
+
+
+def _field_layout(path, data: bytes) -> tuple[tuple[str, ...], int, int]:
+    """Check a field file's header and columns: (axes, data rows, body offset).
+
+    Surrounding whitespace is ignored.  Every row must have 4 columns; the
+    first row's non-empty coordinate columns name the field's axes.
+    """
+    start, end = 0, len(data)
+    while start < end and data[start:start + 1].isspace():
+        start += 1
+    while end > start and data[end - 1:end].isspace():
+        end -= 1
+    header_end = data.find(b"\n", start, end)
+    if data[start:end if header_end < 0 else header_end].strip() != _HEADER.encode():
+        raise ScenarioFileError(f"{path}: expected header 's,t,x,value'")
+    if header_end < 0:
+        raise ScenarioFileError(f"{path}: no data rows")
+    body = header_end + 1
+    n_rows = data.count(b"\n", body, end) + 1
+    first_end = data.find(b"\n", body, end)
+    first = data[body:end if first_end < 0 else first_end].split(b",")
+    # a row with too many commas and one with too few can balance the count;
+    # the short one then fails in loadtxt, which needs column 3 in every row
+    if len(first) != 4 or data.count(b",", body, end) != 3 * n_rows:
+        raise ScenarioFileError(f"{path}: malformed row (need 4 columns)")
+    axes = tuple(a for a in _AXES if first[_AXIS_COLUMN[a]] != b"")
+    if not axes:
+        raise ScenarioFileError(f"{path}: field varies over no axis")
+    return axes, n_rows, body
 
 
 def read_field_csv(path, grid: Grid3) -> Field:
@@ -170,31 +212,37 @@ def read_field_csv(path, grid: Grid3) -> Field:
     Coordinates are checked against the grid sample points; values
     round-trip bit-exactly.
     """
-    lines = Path(path).read_text().strip().split("\n")
-    if not lines or lines[0].strip() != "s,t,x,value":
-        raise ScenarioFileError(f"{path}: expected header 's,t,x,value'")
-    rows = [line.split(",") for line in lines[1:]]
-    if not rows:
-        raise ScenarioFileError(f"{path}: no data rows")
-    if any(len(r) != 4 for r in rows):
-        raise ScenarioFileError(f"{path}: malformed row (need 4 columns)")
-    present = [rows[0][c] != "" for c in range(3)]
-    axes = tuple(a for a, p in zip(("size", "time", "space"), present) if p)
-    if not axes:
-        raise ScenarioFileError(f"{path}: field varies over no axis")
-    shape = tuple(grid.axis_len(a) for a in axes)
-    if len(rows) != int(np.prod(shape)):
+    try:
+        fh = open(path, "rb")
+    except OSError as err:
+        raise ScenarioFileError(f"cannot read {path}: {err}") from err
+    with fh:
+        axes, n_rows, body = _field_layout(path, fh.read())
+        shape = tuple(grid.axis_len(a) for a in axes)
+        if n_rows != int(np.prod(shape)):
+            raise ScenarioFileError(
+                f"{path}: {n_rows} rows but grid implies {int(np.prod(shape))} for axes {axes}"
+            )
+        fh.seek(body)
+        try:
+            # comments=None: a '#' in a value is a parse error, not a comment
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                               usecols=[_AXIS_COLUMN[a] for a in axes] + [3])
+        except ValueError as err:
+            raise ScenarioFileError(f"{path}: {err}") from err
+    # verify the coordinate columns follow the grid ordering; report the
+    # first offending row, and in it the first offending axis
+    mismatches = []
+    for i, a in enumerate(axes):
+        expected = grid.axis_coords(a).reshape([-1 if b == a else 1 for b in axes])
+        bad = np.flatnonzero(table[:, i].reshape(shape) != expected)
+        if bad.size:
+            mismatches.append((bad[0], i))
+    if mismatches:
+        pos, i = min(mismatches)
+        want = grid.axis_coords(axes[i])[np.unravel_index(pos, shape)[i]]
         raise ScenarioFileError(
-            f"{path}: {len(rows)} rows but grid implies {int(np.prod(shape))} for axes {axes}"
+            f"{path}: row {pos + 2}: coordinate {float(table[pos, i])} does not match "
+            f"grid value {want}"
         )
-    values = np.array([float(r[3]) for r in rows]).reshape(shape)
-    # verify the coordinate columns follow the grid ordering
-    for pos, multi in zip(range(len(rows)), np.ndindex(*shape)):
-        for a, m in zip(axes, multi):
-            got = float(rows[pos][_AXIS_COLUMN[a]])
-            want = grid.axis_coords(a)[m]
-            if got != want:
-                raise ScenarioFileError(
-                    f"{path}: row {pos + 2}: coordinate {got} does not match grid value {want}"
-                )
-    return Field(grid, axes, values)
+    return Field(grid, axes, table[:, -1].reshape(shape))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -184,6 +185,30 @@ class TestSubcommands:
             err = capsys.readouterr().err
             assert key in err
             assert "Traceback" not in err
+
+    def test_missing_beta_file_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent.csv"
+        assert main(["simulate", "--scenario", _write(tmp_path, MINIMAL),
+                     "--beta", str(missing), "--out", str(tmp_path / "m")]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot read {missing}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args, message", [
+        (["--out", "d"], "--scenario"),
+        (["--scenario", "{scenario}", "--out", "d", "--tol", "-1e-9"], "--tol|fixed_point_tol"),
+    ])
+    def test_argument_errors_exit_with_usage_code(self, tmp_path, capsys, args, message):
+        # argparse exits through SystemExit; where a newer argparse accepts
+        # "-1e-9" as a value, validation rejects it and main returns 1
+        scenario = _write(tmp_path, MINIMAL)
+        try:
+            code = main(["optimize", *(a.format(scenario=scenario) for a in args)])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and re.search(message, err)
 
     def test_invalid_scenario_is_usage_error(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))

@@ -17,7 +17,7 @@ from sizepop.model import (
     VitalRates,
     validate_scenario,
 )
-from sizepop.scenario_io import read_field_csv, write_field_csv
+from sizepop.scenario_io import ScenarioFileError, read_field_csv, write_field_csv
 
 
 def _scenario(**overrides):
@@ -117,10 +117,13 @@ def test_field_values_frozen():
         fld.values[0] = 2.0
 
 
-@pytest.mark.parametrize("axes", [
+ALL_AXES = [
     ("size",), ("time",), ("space",),
     ("size", "space"), ("time", "space"), ("size", "time", "space"),
-])
+]
+
+
+@pytest.mark.parametrize("axes", ALL_AXES)
 def test_field_csv_round_trip_bit_exact(tmp_path, axes, rng):
     grid = Grid3(Ns=3, Nt=4, Nx=5, s_f=1.0, T=0.7, L=1.3)
     shape = tuple(grid.axis_len(a) for a in axes)
@@ -131,3 +134,113 @@ def test_field_csv_round_trip_bit_exact(tmp_path, axes, rng):
     back = read_field_csv(path, grid)
     assert back.axes == axes
     assert np.array_equal(back.values, fld.values)  # bit-exact
+
+
+def reference_field_csv(field: Field) -> str:
+    """Row-at-a-time writer: the independent reference for the file bytes."""
+    column = {"size": 0, "time": 1, "space": 2}
+    coords = [field.grid.axis_coords(a) for a in field.axes]
+    flat = field.values.reshape(-1)
+    lines = ["s,t,x,value"]
+    for flat_i, multi in enumerate(np.ndindex(*(len(c) for c in coords))):
+        cols = ["", "", ""]
+        for i, (a, m) in enumerate(zip(field.axes, multi)):
+            cols[column[a]] = f"{coords[i][m]:.17g}"
+        lines.append(f"{cols[0]},{cols[1]},{cols[2]},{flat[flat_i]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                  np.finfo(float).max, 0.1, -1.0 / 3.0, 1e22]
+
+
+@pytest.mark.parametrize("axes", ALL_AXES)
+def test_field_csv_matches_reference_writer(tmp_path, axes, rng):
+    grid = Grid3(Ns=3, Nt=4, Nx=5, s_f=1.0, T=0.7, L=1.3)
+    shape = tuple(grid.axis_len(a) for a in axes)
+    size = int(np.prod(shape))
+    values = rng.standard_normal(size) * np.exp(rng.uniform(-700, 700, size=size))
+    n_special = min(len(SPECIAL_VALUES), values.size)
+    values[rng.permutation(values.size)[:n_special]] = SPECIAL_VALUES[:n_special]
+    fld = Field(grid, axes, values.reshape(shape))
+    path = tmp_path / "field.csv"
+    write_field_csv(fld, path)
+    assert path.read_text() == reference_field_csv(fld)
+    back = read_field_csv(path, grid)
+    assert np.array_equal(back.values.view(np.uint64), fld.values.view(np.uint64))
+
+
+class TestFieldCsvRejections:
+    GRID = Grid3(Ns=2, Nt=1, Nx=3, s_f=1.0, T=1.0, L=1.0)
+
+    def _file(self, tmp_path, edit=None):
+        """A valid ("size", "space") field file; edit(lines) may alter its lines first."""
+        fld = Field(self.GRID, ("size", "space"), np.arange(6.0).reshape(2, 3))
+        path = tmp_path / "field.csv"
+        write_field_csv(fld, path)
+        lines = path.read_text().splitlines()
+        if edit is not None:
+            edit(lines)
+            path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def _rejects(self, path, match):
+        with pytest.raises(ScenarioFileError, match=match):
+            read_field_csv(path, self.GRID)
+
+    def test_valid_file_reads(self, tmp_path):
+        fld = read_field_csv(self._file(tmp_path), self.GRID)
+        assert fld.axes == ("size", "space")
+        assert np.array_equal(fld.values, np.arange(6.0).reshape(2, 3))
+
+    def test_three_column_row(self, tmp_path):
+        def edit(lines):
+            lines[3] = lines[3].rsplit(",", 1)[0]
+        self._rejects(self._file(tmp_path, edit), r"malformed row \(need 4 columns\)")
+
+    def test_five_column_row(self, tmp_path):
+        def edit(lines):
+            lines[2] += ",7"
+        self._rejects(self._file(tmp_path, edit), r"malformed row \(need 4 columns\)")
+
+    def test_short_and_long_rows_that_balance_the_comma_count(self, tmp_path):
+        def edit(lines):
+            lines[2] += ",7"
+            lines[5] = lines[5].rsplit(",", 1)[0]
+        self._rejects(self._file(tmp_path, edit), "column")
+
+    def test_blank_line_between_rows(self, tmp_path):
+        def edit(lines):
+            lines.insert(3, "")
+        self._rejects(self._file(tmp_path, edit), r"malformed row \(need 4 columns\)")
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "field.csv"
+        path.write_text("s,t,x,value\n")
+        self._rejects(path, "no data rows")
+
+    def test_wrong_header(self, tmp_path):
+        def edit(lines):
+            lines[0] = "s,t,x,v"
+        self._rejects(self._file(tmp_path, edit), "expected header 's,t,x,value'")
+
+    def test_row_count_mismatch(self, tmp_path):
+        self._rejects(self._file(tmp_path, lambda lines: lines.pop()),
+                      r"5 rows but grid implies 6 for axes \('size', 'space'\)")
+
+    def test_coordinate_mismatch_names_first_bad_row(self, tmp_path):
+        def edit(lines):
+            lines[5] = "0.75,,0.625,4"  # file line 6: x should be 0.5
+            lines[6] = "0.5,,1,5"       # file line 7: s should be 0.75
+        self._rejects(self._file(tmp_path, edit),
+                      r"row 6: coordinate 0\.625 does not match grid value 0\.5$")
+
+    def test_hash_in_value_is_an_error_not_a_comment(self, tmp_path):
+        def edit(lines):
+            lines[1] += "#1"
+        self._rejects(self._file(tmp_path, edit), "#")
+
+    def test_no_axis(self, tmp_path):
+        def edit(lines):
+            lines[1] = ",,,1"
+        self._rejects(self._file(tmp_path, edit), "field varies over no axis")
