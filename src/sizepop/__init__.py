@@ -13,6 +13,7 @@ from .forward import (
     StateSolution,
     StepContext,
     solve_state,
+    solve_states,
     step_diffusion,
     total_population,
 )
@@ -35,6 +36,7 @@ from .optimizer import (
     OptimizationReport,
     contraction_diagnostics,
     evaluate_cost,
+    evaluate_costs,
     fixed_point_update,
     gradient_field,
     optimize,

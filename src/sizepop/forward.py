@@ -20,6 +20,21 @@ The linearized step, the sensitivity march and the state march all apply
 these parts through one primitive; the adjoint applies T_j.T and solves with
 the transposed bands, so it is the exact transpose of the linear step by
 construction.
+
+The step primitives accept a leading control axis: slices of shape
+(K, Ns, Nx) with controls of shape (K, Ns, Nt+1, Nx) march K controls at
+once, because the control enters only the renewal row.  T_j multiplies the
+stacked [u; b] seen as an (Ns+1, K*Nx) matrix and one dgtsv call solves all
+K*Ns diffusion systems.  Every member's arithmetic is the same operation for
+operation as a single march, so results are bit-identical to K separate
+solves; a slice without the leading axis is the same code with no batch
+dimension.  solve_states marches a batch and solve_state is its K = 1 case.
+
+The brute-force oracle and the gradient check march their controls as
+batches.  The adjoint march, the contraction diagnostics (one state and one
+adjoint per sample) and the two-start uniqueness check (two separate
+optimizations) stay at one control per call: a batched adjoint would hold
+one phi field per member at once, 13 MB each at 160x160x64.
 """
 
 from __future__ import annotations
@@ -53,17 +68,17 @@ def _neumann_bands(nx: int, dx: float, k: float,
 
 def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
                        rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs for each row of the (size, space) array `rhs`.
+    """Solve A x = rhs along the last (space) axis for every leading index.
 
-    One dgtsv call; without pivoting it performs the Thomas elimination.
-    On the diffusion bands it pivots only in the last row, and only when
-    k*dt/dx^2 exceeds 1.37 (Nx = 3) to 2 (large Nx).  Swapping `sub` and
-    `sup` solves with A^T.
+    One dgtsv call takes all rows as right-hand sides; without pivoting it
+    performs the Thomas elimination.  On the diffusion bands it pivots only
+    in the last row, and only when k*dt/dx^2 exceeds 1.37 (Nx = 3) to 2
+    (large Nx).  Swapping `sub` and `sup` solves with A^T.
     """
-    _, _, _, x, info = dgtsv(sub, diag, sup, rhs.T)
+    _, _, _, x, info = dgtsv(sub, diag, sup, rhs.reshape(-1, rhs.shape[-1]).T)
     if info != 0:
         raise NumericalError(f"tridiagonal diffusion solve failed (dgtsv info={info})")
-    return x.T
+    return x.T.reshape(rhs.shape)
 
 
 class StepContext:
@@ -75,6 +90,10 @@ class StepContext:
     coefficient on the newborn boundary value in column Ns.  `E[j]` and
     `Fsrc[j]` are the reaction factor and feed over the effective reaction
     interval, and `bands` the (sub, diag, sup) diffusion bands.
+
+    The step methods take a slice `u` of shape (..., Ns, Nx) and a control
+    of shape (..., Ns, Nt+1, Nx) with the same leading axes, normally one
+    control axis K; newborn values then have shape (..., Nx).
     """
 
     def __init__(self, vsc: ValidatedScenario):
@@ -160,7 +179,7 @@ class StepContext:
     def renewal_weights(self, beta: np.ndarray, j: int) -> np.ndarray:
         """Coefficients of the birth integral at level j: r*beta*ds/gamma(0,t)."""
         grid = self.vsc.grid
-        return self.vsc.r_grid[:, j, :] * beta[:, j, :] * (grid.ds / self.vsc.gamma0_t[j])
+        return self.vsc.r_grid[:, j, :] * beta[..., j, :] * (grid.ds / self.vsc.gamma0_t[j])
 
     def births(self, beta: np.ndarray, j: int, u: np.ndarray) -> np.ndarray:
         """Renewal row applied to a slice: the birth integral over size.
@@ -168,20 +187,24 @@ class StepContext:
         Zero in growth cases c/d, which have no renewal boundary.
         """
         if not self.has_renewal:
-            return np.zeros(self.vsc.grid.Nx)
-        return (self.renewal_weights(beta, j) * u).sum(axis=0)
+            return np.zeros(u.shape[:-2] + u.shape[-1:])
+        return (self.renewal_weights(beta, j) * u).sum(axis=-2)
 
     def newborn_value(self, beta: np.ndarray, j: int, p_slice: np.ndarray) -> np.ndarray:
         """Boundary density p(0, t_j, x) from immigration plus births."""
         if not self.has_renewal:
-            return np.zeros(self.vsc.grid.Nx)
+            return np.zeros(p_slice.shape[:-2] + p_slice.shape[-1:])
         return self.births(beta, j, p_slice) + self.vsc.C_grid[j] / self.vsc.gamma0_t[j]
 
     def _advance(self, j: int, u: np.ndarray, b: np.ndarray,
                  source: bool = False) -> np.ndarray:
         """Slice at level j+1 from slice `u` and newborn value `b` at level j:
         transport, reaction (with the feed when `source`) and diffusion."""
-        v = self.E[j] * (self.transport[j] @ np.concatenate((u, b[None, :])))
+        ns, nx = u.shape[-2:]
+        # [u; b] as (Ns+1, K*Nx): size first, then (control, space) in the columns
+        x = np.concatenate((u, b[..., None, :]), axis=-2).reshape(-1, ns + 1, nx).swapaxes(0, 1)
+        y = self.transport[j] @ x.reshape(ns + 1, -1)
+        v = self.E[j] * y.reshape(ns, -1, nx).swapaxes(0, 1).reshape(u.shape)
         if source:
             v += self.Fsrc[j]
         return _solve_tridiagonal(*self.bands, v)
@@ -240,36 +263,55 @@ def total_population(p: Field) -> np.ndarray:
     return (p.values * w[None, None, :]).sum(axis=(0, 2)) * grid.ds
 
 
-def solve_state(vsc: ValidatedScenario, beta, ctx: StepContext | None = None) -> StateSolution:
-    """March the density from the initial slice to the horizon.
+def solve_states(vsc: ValidatedScenario, betas: np.ndarray,
+                 ctx: StepContext | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """March K controls at once from the initial slice to the horizon.
 
-    Records the newborn boundary value at every level (for cases without a
-    renewal boundary this is the constant extrapolation of the first size
-    cell) and the total population.  Aborts on the first non-finite value.
+    `betas` has shape (K, Ns, Nt+1, Nx).  Returns the densities, shape
+    (K, Ns, Nt+1, Nx), and the newborn boundary traces, shape (K, Nt+1, Nx);
+    for cases without a renewal boundary the trace is the constant
+    extrapolation of the first size cell.  Aborts on the first non-finite
+    value, naming the batch member when K > 1.
     """
     ctx = ctx or StepContext(vsc)
     grid = vsc.grid
-    beta_arr = control_array(vsc, beta)
-    p = np.empty((grid.Ns, grid.Nt + 1, grid.Nx))
-    newborn = np.empty((grid.Nt + 1, grid.Nx))
-    p[:, 0, :] = vsc.p0_grid
+    betas = np.asarray(betas, dtype=float)
+    if betas.ndim != 4 or betas.shape[1:] != (grid.Ns, grid.Nt + 1, grid.Nx):
+        raise ValueError(f"control batch shape {betas.shape} != "
+                         f"(K, {grid.Ns}, {grid.Nt + 1}, {grid.Nx})")
+    n = betas.shape[0]
+    p = np.empty((n, grid.Ns, grid.Nt + 1, grid.Nx))
+    newborn = np.empty((n, grid.Nt + 1, grid.Nx))
+    p[:, :, 0, :] = vsc.p0_grid
     for j in range(grid.Nt):
-        p_next, b = ctx.step(beta_arr, j, p[:, j, :])
-        if not np.all(np.isfinite(p_next)):
-            i, k = np.argwhere(~np.isfinite(p_next))[0]
-            raise NumericalError(f"non-finite density at (i={i}, j={j + 1}, k={k})")
-        newborn[j] = b if ctx.has_renewal else p[0, j, :]
-        p[:, j + 1, :] = p_next
-    newborn[grid.Nt] = (
-        ctx.newborn_value(beta_arr, grid.Nt, p[:, grid.Nt, :])
-        if ctx.has_renewal else p[0, grid.Nt, :]
+        p_next, b = ctx.step(betas, j, p[:, :, j, :])
+        if not np.isfinite(p_next).all():
+            m, i, k = np.argwhere(~np.isfinite(p_next))[0]
+            member = f" in batch member {m}" if n > 1 else ""
+            raise NumericalError(f"non-finite density{member} at (i={i}, j={j + 1}, k={k})")
+        newborn[:, j] = b if ctx.has_renewal else p[:, 0, j, :]
+        p[:, :, j + 1, :] = p_next
+    newborn[:, grid.Nt] = (
+        ctx.newborn_value(betas, grid.Nt, p[:, :, grid.Nt, :])
+        if ctx.has_renewal else p[:, 0, grid.Nt, :]
     )
-    p_field = Field(grid, ("size", "time", "space"), p)
+    return p, newborn
+
+
+def solve_state(vsc: ValidatedScenario, beta, ctx: StepContext | None = None) -> StateSolution:
+    """March the density from the initial slice to the horizon.
+
+    The K = 1 case of solve_states, plus the total population per level.
+    """
+    grid = vsc.grid
+    beta_arr = control_array(vsc, beta)
+    p, newborn = solve_states(vsc, beta_arr[None], ctx)
+    p_field = Field(grid, ("size", "time", "space"), p[0])
     beta_frozen = beta_arr.copy()
     beta_frozen.flags.writeable = False
     return StateSolution(
         p=p_field,
-        newborn_density=Field(grid, ("time", "space"), newborn),
+        newborn_density=Field(grid, ("time", "space"), newborn[0]),
         total_population=total_population(p_field),
         beta=beta_frozen,
     )

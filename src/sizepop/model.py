@@ -121,6 +121,9 @@ class Grid3:
             bad.append(f"grid invariant violated: T > 0 (got {self.T})")
         if not self.L > 0:
             bad.append(f"grid invariant violated: L > 0 (got {self.L})")
+        bad.extend(f"grid invariant violated: {name} finite (got {value})"
+                   for name, value in (("s_f", self.s_f), ("T", self.T), ("L", self.L))
+                   if np.isinf(value))
         return bad
 
 
@@ -385,6 +388,21 @@ def validate_scenario(sc: Scenario) -> ValidatedScenario:
     phi_m_grid = grid3(sc.bounds.phi_m)
 
     stx = ("size", "time", "space")
+    for key, arr, axes in (
+        ("rates.gamma", gamma_grid, ("size", "time")),
+        ("rates.gamma at s = 0", gamma0_t, ("time",)),
+        ("rates.gamma at s = s_f", gamma_sf_t, ("time",)),
+        ("rates.mu", mu_grid, stx),
+        ("rates.r", r_grid, stx),
+        ("rates.f", f_grid, stx),
+        ("rates.C", C_grid, ("time", "space")),
+        ("rates.p0", p0_grid, ("size", "space")),
+        ("bounds.phi_l", phi_l_grid, stx),
+        ("bounds.phi_m", phi_m_grid, stx),
+    ):
+        bad = ~np.isfinite(arr)
+        if bad.any():
+            violations.append(f"finiteness violated: {key} not finite at {_first_bad(bad, axes)}")
     if (gamma_grid < 0).any() or (gamma0_t < 0).any() or (gamma_sf_t < 0).any():
         violations.append("A1 violated: gamma < 0 somewhere on the grid")
     for name, arr, axes in (
@@ -411,6 +429,10 @@ def validate_scenario(sc: Scenario) -> ValidatedScenario:
         violations.append(f"cost invariant violated: rho > 0 (got {sc.cost.rho})")
     if not sc.cost.c > 0:
         violations.append(f"cost invariant violated: c > 0 (got {sc.cost.c})")
+    violations.extend(f"finiteness violated: {key} not finite (got {value})"
+                      for key, value in (("diffusion_k", sc.k), ("cost.rho", sc.cost.rho),
+                                         ("cost.c", sc.cost.c))
+                      if np.isinf(value))
     if sc.cost.sign_variant not in ("minus", "plus"):
         violations.append(f"cost invariant violated: unknown sign_variant {sc.cost.sign_variant!r}")
     violations.extend(_tolerance_violations(sc.tolerances))

@@ -19,15 +19,7 @@ import numpy as np
 
 from .adjoint import AdjointSolution, solve_adjoint
 from .forward import StateSolution, StepContext, solve_state
-from .model import (
-    ControlBounds,
-    CostParams,
-    Field,
-    ValidatedScenario,
-    VitalRates,
-    _grid_eval_full,
-    control_array,
-)
+from .model import CostParams, Field, Grid3, ValidatedScenario, control_array
 
 
 @dataclass(frozen=True)
@@ -72,57 +64,55 @@ class OptimizationReport:
         }
 
 
+def evaluate_costs(grid: Grid3, p: np.ndarray, beta: np.ndarray, cost: CostParams) -> np.ndarray:
+    """J of every control along the leading axes of `p` and `beta`, whose
+    last three axes are (size, time, space): each member's integrand is
+    summed over those three axes only."""
+    w = grid.volume_weights()
+    integrand = p + cost.control_sign * 0.5 * cost.rho * beta**2
+    return (w * integrand).sum(axis=(-3, -2, -1))
+
+
 def evaluate_cost(state: StateSolution, beta, cost: CostParams) -> float:
     """J = integral of [p -/+ rho/2 * beta^2] under the volume quadrature."""
     grid = state.p.grid
-    beta_arr = control_array(grid, beta)
-    w = grid.volume_weights()
-    integrand = state.p.values + cost.control_sign * 0.5 * cost.rho * beta_arr**2
-    return float((w * integrand).sum())
+    return float(evaluate_costs(grid, state.p.values, control_array(grid, beta), cost))
 
 
-def project_F(h, bounds: ControlBounds, grid=None) -> Field:
+def project_F(h, vsc: ValidatedScenario) -> Field:
     """Pointwise clip of a candidate control onto [phi_l, phi_m]."""
-    if isinstance(h, Field):
-        grid = h.grid
-        values = h.values
-    else:
-        if grid is None:
-            raise ValueError("grid required when h is a bare array")
-        values = control_array(grid, h)
-    lo = _grid_eval_full(bounds.phi_l, grid)
-    hi = _grid_eval_full(bounds.phi_m, grid)
-    return Field(grid, ("size", "time", "space"), np.clip(values, lo, hi))
+    grid = vsc.grid
+    if isinstance(h, Field) and h.grid != grid:
+        raise ValueError("candidate control is on a different grid than the scenario")
+    values = control_array(grid, h)
+    return Field(grid, ("size", "time", "space"), np.clip(values, vsc.phi_l_grid, vsc.phi_m_grid))
 
 
 def gradient_field(state: StateSolution, adjoint: AdjointSolution,
-                   rates: VitalRates, cost: CostParams) -> Field:
+                   vsc: ValidatedScenario) -> Field:
     """Pointwise derivative density of the cost with respect to the control.
 
     g = -/+ rho*beta - r*p*phi0/c (sign by cost variant).  Pairing g with a
     direction under the volume quadrature reproduces the derivative of the
     discrete cost exactly, because phi0 comes from the transposed scheme.
     """
-    grid = state.p.grid
-    r = _grid_eval_full(rates.r, grid)
+    cost = vsc.cost
     g = (cost.control_sign * cost.rho * state.beta
-         - r * state.p.values * adjoint.phi_at_zero.values[None, :, :] / cost.c)
-    return Field(grid, ("size", "time", "space"), g)
+         - vsc.r_grid * state.p.values * adjoint.phi_at_zero.values[None, :, :] / cost.c)
+    return Field(vsc.grid, ("size", "time", "space"), g)
 
 
 def fixed_point_update(state: StateSolution, adjoint: AdjointSolution,
-                       rates: VitalRates, cost: CostParams,
-                       bounds: ControlBounds) -> Field:
+                       vsc: ValidatedScenario) -> Field:
     """Projected stationarity map: F(sign * r * p * phi0 / (c * rho)).
 
     Only the product c*rho enters; the stationary value is where the
     gradient density vanishes, clipped onto the control box.
     """
-    grid = state.p.grid
-    r = _grid_eval_full(rates.r, grid)
-    h = cost.control_sign * r * state.p.values * adjoint.phi_at_zero.values[None, :, :] \
+    cost = vsc.cost
+    h = cost.control_sign * vsc.r_grid * state.p.values * adjoint.phi_at_zero.values[None, :, :] \
         / (cost.c * cost.rho)
-    return project_F(Field(grid, ("size", "time", "space"), h), bounds)
+    return project_F(Field(vsc.grid, ("size", "time", "space"), h), vsc)
 
 
 def optimize(vsc: ValidatedScenario, beta0=None, ctx: StepContext | None = None,
@@ -155,7 +145,7 @@ def optimize(vsc: ValidatedScenario, beta0=None, ctx: StepContext | None = None,
         state = solve_state(vsc, beta, ctx=ctx)
         adj = solve_adjoint(vsc, beta, state, ctx=ctx)
         J_history.append(evaluate_cost(state, beta, vsc.cost))
-        target = fixed_point_update(state, adj, vsc.rates, vsc.cost, vsc.bounds).values
+        target = fixed_point_update(state, adj, vsc).values
         beta_next = (1.0 - omega) * beta + omega * target
         resid = float(np.max(np.abs(beta_next - beta)))
         residuals.append(resid)

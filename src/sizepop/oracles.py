@@ -14,10 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import presets
-from .forward import StepContext, solve_state, step_diffusion
+from .forward import StepContext, solve_state, solve_states, step_diffusion
 from .model import Field, Grid3, ValidatedScenario
 from .adjoint import duality_residual, solve_adjoint
-from .optimizer import evaluate_cost, gradient_field, optimize
+from .optimizer import evaluate_costs, gradient_field, optimize
 
 ORACLE_NAMES = (
     "heat_mode_decay",
@@ -191,25 +191,29 @@ def oracle_transpose_duality(seed: int = 0, corrupt_adjoint_sign: bool = False) 
 
 def gradient_check(vsc: ValidatedScenario, n_directions: int = 5, seed: int = 0,
                    ctx: StepContext | None = None) -> list[dict]:
-    """Directional derivatives of the cost vs central differences."""
+    """Directional derivatives of the cost vs central differences.
+
+    The 2 * n_directions perturbed controls march as one batch.
+    """
     ctx = ctx or StepContext(vsc)
     grid = vsc.grid
     rng = np.random.default_rng(seed)
     beta = vsc.phi_l_grid + 0.35 * (vsc.phi_m_grid - vsc.phi_l_grid)
     state = solve_state(vsc, beta, ctx=ctx)
     adj = solve_adjoint(vsc, beta, state, ctx=ctx)
-    g = gradient_field(state, adj, vsc.rates, vsc.cost).values
+    g = gradient_field(state, adj, vsc).values
     w = grid.volume_weights()
     eps = 1e-6 * max(float(np.abs(beta).max()), 1.0)
+    deltas = np.stack([rng.standard_normal(beta.shape) for _ in range(n_directions)])
+    # members 2d and 2d+1 are beta +/- eps * delta_d
+    controls = np.stack([beta + eps * deltas, beta - eps * deltas], axis=1)
+    controls = controls.reshape((2 * n_directions,) + beta.shape)
+    p, _ = solve_states(vsc, controls, ctx=ctx)
+    J = evaluate_costs(grid, p, controls, vsc.cost)
     rows = []
-    for d_idx in range(n_directions):
-        delta = rng.standard_normal(beta.shape)
+    for d_idx, delta in enumerate(deltas):
         analytic = float((w * g * delta).sum())
-        bp = beta + eps * delta
-        bm = beta - eps * delta
-        jp = evaluate_cost(solve_state(vsc, bp, ctx=ctx), bp, vsc.cost)
-        jm = evaluate_cost(solve_state(vsc, bm, ctx=ctx), bm, vsc.cost)
-        fd = (jp - jm) / (2.0 * eps)
+        fd = (float(J[2 * d_idx]) - float(J[2 * d_idx + 1])) / (2.0 * eps)
         rel = abs(analytic - fd) / max(abs(fd), 1e-300)
         rows.append({"direction": d_idx, "analytic": analytic, "fd": fd,
                      "rel_err": rel, "passed": rel < 1e-6})
@@ -224,10 +228,22 @@ def oracle_fd_gradient(seed: int = 0) -> dict:
                    f"{len(rows)} random directions, worst relative error {worst:.2e}")
 
 
+# lattice controls marched per batch: large enough that the per-step Python
+# work is shared, small enough that a batch does not raise peak memory
+BRUTE_FORCE_BATCH = 512
+
+
 def brute_force_search(vsc: ValidatedScenario, n_levels: int = 21,
                        ctx: StepContext | None = None):
     """Exhaustive cost minimization over controls constant in (size, space)
-    with one quantized value per active time level."""
+    with one quantized value per active time level.
+
+    The n_levels**Nt lattice is enumerated in row-major order (last time
+    level fastest) and marched in batches of BRUTE_FORCE_BATCH controls.
+    Ties go to the first minimum in that order.  The one-step neighbours of
+    the winner that stay in the box are evaluated as one more batch; their
+    largest cost change is the returned quantization sensitivity.
+    """
     ctx = ctx or StepContext(vsc)
     grid = vsc.grid
     lo = float(vsc.phi_l_grid.max())
@@ -235,31 +251,28 @@ def brute_force_search(vsc: ValidatedScenario, n_levels: int = 21,
     levels = np.linspace(lo, hi, n_levels)
     n_dof = grid.Nt  # the final level carries no cost weight
 
-    def control(vals):
-        b = np.full((grid.Ns, grid.Nt + 1, grid.Nx), lo)
-        for j, v in enumerate(vals):
-            b[:, j, :] = v
-        return b
+    def costs(vals):
+        """J for each row of per-level values, shape (K, n_dof)."""
+        b = np.full((len(vals), grid.Ns, grid.Nt + 1, grid.Nx), lo)
+        b[:, :, :n_dof, :] = vals[:, None, :, None]
+        p, _ = solve_states(vsc, b, ctx=ctx)
+        return evaluate_costs(grid, p, b, vsc.cost)
 
-    best_J = np.inf
-    best_vals = None
-    for multi in np.ndindex(*(n_levels,) * n_dof):
-        vals = levels[list(multi)]
-        b = control(vals)
-        J = evaluate_cost(solve_state(vsc, b, ctx=ctx), b, vsc.cost)
-        if J < best_J:
-            best_J, best_vals = J, vals
+    lattice = levels[np.indices((n_levels,) * n_dof).reshape(n_dof, -1).T]
+    J = np.concatenate([costs(lattice[at:at + BRUTE_FORCE_BATCH])
+                        for at in range(0, len(lattice), BRUTE_FORCE_BATCH)])
+    best = int(np.argmin(J))
+    best_J, best_vals = float(J[best]), lattice[best]
     # cost sensitivity to one quantization step around the winner
     step = levels[1] - levels[0]
-    sens = 0.0
+    neighbours = []
     for d in range(n_dof):
         for sign in (-1.0, 1.0):
             vals = best_vals.copy()
             vals[d] += sign * step
-            if vals[d] < lo - 1e-12 or vals[d] > hi + 1e-12:
-                continue
-            b = control(vals)
-            sens = max(sens, abs(evaluate_cost(solve_state(vsc, b, ctx=ctx), b, vsc.cost) - best_J))
+            if lo - 1e-12 <= vals[d] <= hi + 1e-12:
+                neighbours.append(vals)
+    sens = float(np.abs(costs(np.array(neighbours)) - best_J).max()) if neighbours else 0.0
     return best_J, best_vals, sens
 
 

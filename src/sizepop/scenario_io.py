@@ -65,6 +65,15 @@ def _require_keys(d: dict, required: set, allowed: set, where: str) -> None:
         raise ScenarioFileError(f"{where}: unknown key {sorted(unknown)[0]!r}")
 
 
+def _integer(value, key: str) -> int:
+    """An integer entry; a fractional, non-finite or non-numeric value is an
+    error rather than truncated.  Integral floats such as 20.0 are accepted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not float(value).is_integer():
+        raise ScenarioFileError(f"{key}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def parse_rate(name: str, spec, grid: Grid3) -> RateField:
     """Build one rate from its file entry; errors name the offending key."""
     axes = RATE_AXES[name]
@@ -98,7 +107,8 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
                   {"grid", "rates", "diffusion_k", "bounds", "cost", "tolerances"}, where)
     gd = doc["grid"]
     _require_keys(gd, _GRID_KEYS, _GRID_KEYS, "grid")
-    grid = Grid3(Ns=int(gd["Ns"]), Nt=int(gd["Nt"]), Nx=int(gd["Nx"]),
+    grid = Grid3(Ns=_integer(gd["Ns"], "grid.Ns"), Nt=_integer(gd["Nt"], "grid.Nt"),
+                 Nx=_integer(gd["Nx"], "grid.Nx"),
                  s_f=float(gd["s_f"]), T=float(gd["T"]), L=float(gd["L"]))
 
     rd = doc["rates"]
@@ -124,9 +134,10 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
         td = doc["tolerances"]
         _require_keys(td, set(), _TOL_KEYS, "tolerances")
         tol = Tolerances(fixed_point_tol=float(td.get("fixed_point_tol", tol.fixed_point_tol)),
-                         max_iters=int(td.get("max_iters", tol.max_iters)),
+                         max_iters=_integer(td.get("max_iters", tol.max_iters),
+                                            "tolerances.max_iters"),
                          relax_omega=float(td.get("relax_omega", tol.relax_omega)),
-                         seed=int(td.get("seed", tol.seed)))
+                         seed=_integer(td.get("seed", tol.seed), "tolerances.seed"))
 
     return Scenario(grid=grid, rates=rates, k=float(doc["diffusion_k"]),
                     bounds=bounds, cost=cost, tolerances=tol)

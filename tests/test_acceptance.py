@@ -78,7 +78,7 @@ def test_criterion_2_gradient_exactness():
     beta = vsc.phi_l_grid + 0.35 * (vsc.phi_m_grid - vsc.phi_l_grid)
     state = sp.solve_state(vsc, beta, ctx=ctx)
     adj = solve_adjoint(vsc, beta, state, ctx=ctx)
-    g = gradient_field(state, adj, vsc.rates, vsc.cost).values
+    g = gradient_field(state, adj, vsc).values
     w = grid.volume_weights()
     eps = 1e-6 * max(float(np.abs(beta).max()), 1.0)
     worst = 0.0
@@ -106,10 +106,10 @@ def test_criterion_3_optimality_condition():
     beta = rep.beta_opt.values
     state = sp.solve_state(vsc, beta, ctx=ctx)
     adj = solve_adjoint(vsc, beta, state, ctx=ctx)
-    target = fixed_point_update(state, adj, vsc.rates, vsc.cost, vsc.scenario.bounds).values
+    target = fixed_point_update(state, adj, vsc).values
     fp_resid = float(np.abs(beta - target).max())
 
-    g = gradient_field(state, adj, vsc.rates, vsc.cost).values
+    g = gradient_field(state, adj, vsc).values
     grid = vsc.grid
     r_p_phi = np.abs(vsc.r_grid * state.p.values
                      * adj.phi_at_zero.values[None, :, :] / vsc.cost.c)

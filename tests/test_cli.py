@@ -34,6 +34,17 @@ def _write(tmp_path, doc, name="scenario.json") -> str:
     return str(path)
 
 
+def _with(key: str, value) -> dict:
+    """A copy of MINIMAL with the dotted `key` set to `value`."""
+    doc = json.loads(json.dumps(MINIMAL))
+    *parents, last = key.split(".")
+    node = doc
+    for name in parents:
+        node = node[name]
+    node[last] = value
+    return doc
+
+
 class TestParseScenario:
     def test_minimal_constants(self, tmp_path):
         sc = parse_scenario(_write(tmp_path, MINIMAL))
@@ -185,6 +196,43 @@ class TestSubcommands:
             err = capsys.readouterr().err
             assert key in err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("rates.mu", float("nan")),
+        ("rates.C", float("inf")),
+        ("bounds.phi_m", float("inf")),
+        ("rates.r", float("nan")),
+        ("rates.gamma", float("nan")),
+        ("bounds.phi_l", float("nan")),
+        ("diffusion_k", float("inf")),
+        ("cost.rho", float("inf")),
+        ("cost.c", float("inf")),
+    ])
+    def test_non_finite_inputs_are_usage_errors(self, tmp_path, capsys, key, value):
+        # json writes and reads NaN and Infinity, so a scenario file can carry them
+        assert main(["simulate", "--scenario", _write(tmp_path, _with(key, value)),
+                     "--beta", "0.4", "--out", str(tmp_path / "nf")]) == 1
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("grid.Ns", 2.7),
+        ("grid.Nt", 6.5),
+        ("grid.Nx", 4.2),
+        ("tolerances.max_iters", 2.5),
+        ("tolerances.seed", 0.5),
+    ])
+    def test_non_integral_counts_are_usage_errors(self, tmp_path, capsys, key, value):
+        assert main(["simulate", "--scenario", _write(tmp_path, _with(key, value)),
+                     "--beta", "0.4", "--out", str(tmp_path / "ni")]) == 1
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+
+    def test_integral_float_count_is_accepted(self, tmp_path):
+        assert main(["simulate", "--scenario", _write(tmp_path, _with("grid.Ns", 6.0)),
+                     "--beta", "0.4", "--out", str(tmp_path / "f")]) == 0
 
     def test_missing_beta_file_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "nonexistent.csv"

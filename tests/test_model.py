@@ -80,6 +80,8 @@ def test_grid_invariants():
         validate_scenario(_scenario(grid=Grid3(Ns=4, Nt=4, Nx=1, s_f=1.0, T=1.0, L=1.0)))
     with pytest.raises(ScenarioValidationError, match="s_f > 0"):
         validate_scenario(_scenario(grid=Grid3(Ns=4, Nt=4, Nx=4, s_f=0.0, T=1.0, L=1.0)))
+    with pytest.raises(ScenarioValidationError, match="L finite"):
+        validate_scenario(_scenario(grid=Grid3(Ns=4, Nt=4, Nx=4, s_f=1.0, T=1.0, L=np.inf)))
 
 
 def test_grid_samples():

@@ -9,7 +9,7 @@ import sizepop as sp
 import sizepop.optimizer as opt_mod
 from sizepop.adjoint import AdjointSolution, solve_adjoint
 from sizepop.forward import StateSolution, StepContext
-from sizepop.model import ControlBounds, CostParams, Field, Grid3, control_array
+from sizepop.model import CostParams, Field, Grid3, control_array
 from sizepop.optimizer import (
     contraction_diagnostics,
     evaluate_cost,
@@ -56,18 +56,18 @@ class TestEvaluateCost:
 
 
 class TestProjection:
-    BOUNDS = ControlBounds.constants(0.1, 0.4)
+    BOX = unit_scenario(GRID, phi_l=0.1, phi_m=0.4)
 
     @pytest.mark.parametrize("h,expected", [(0.5, 0.4), (0.25, 0.25), (-3.0, 0.1)])
     def test_clip(self, h, expected):
-        out = project_F(Field.full(GRID, ("size", "time", "space"), h), self.BOUNDS)
+        out = project_F(Field.full(GRID, ("size", "time", "space"), h), self.BOX)
         np.testing.assert_allclose(out.values, expected)
 
     def test_idempotent(self, rng):
         h = Field(GRID, ("size", "time", "space"),
                   rng.standard_normal((GRID.Ns, GRID.Nt + 1, GRID.Nx)))
-        once = project_F(h, self.BOUNDS)
-        twice = project_F(once, self.BOUNDS)
+        once = project_F(h, self.BOX)
+        twice = project_F(once, self.BOX)
         assert np.array_equal(once.values, twice.values)
 
     def test_nonexpansive(self, rng):
@@ -75,8 +75,8 @@ class TestProjection:
         for _ in range(10):
             h1 = Field(GRID, ("size", "time", "space"), rng.standard_normal(shape))
             h2 = Field(GRID, ("size", "time", "space"), rng.standard_normal(shape))
-            d_out = np.abs(project_F(h1, self.BOUNDS).values
-                           - project_F(h2, self.BOUNDS).values).max()
+            d_out = np.abs(project_F(h1, self.BOX).values
+                           - project_F(h2, self.BOX).values).max()
             assert d_out <= np.abs(h1.values - h2.values).max() + 1e-15
 
 
@@ -84,7 +84,7 @@ class TestGradientField:
     def test_control_term_only_when_trace_vanishes(self):
         vsc = unit_scenario(GRID)
         g = gradient_field(_state(GRID, 1.0, 0.7), _adjoint(GRID, 0.0),
-                           vsc.rates, CostParams(rho=2.0, sign_variant="minus"))
+                           vsc.with_cost(rho=2.0, sign_variant="minus"))
         np.testing.assert_allclose(g.values, -2.0 * 0.7)
 
     @pytest.mark.parametrize("variant", ["minus", "plus"])
@@ -95,7 +95,7 @@ class TestGradientField:
         beta = 0.3 + 0.2 * rng.random((grid.Ns, grid.Nt + 1, grid.Nx))
         state = sp.solve_state(vsc, beta, ctx=ctx)
         adj = solve_adjoint(vsc, beta, state, ctx=ctx)
-        g = gradient_field(state, adj, vsc.rates, vsc.cost).values
+        g = gradient_field(state, adj, vsc).values
         w = grid.volume_weights()
         eps = 1e-6
         for _ in range(5):
@@ -115,32 +115,28 @@ class TestGradientField:
         vsc = unit_scenario(GRID, phi_l=0.1, phi_m=0.4)
         beta = 0.4
         g = gradient_field(_state(GRID, 1.0, beta), _adjoint(GRID, -0.2),
-                           vsc.rates, CostParams(rho=1.0, sign_variant="minus"))
+                           vsc.with_cost(rho=1.0, sign_variant="minus"))
         assert (g.values[:, :-1, :] < 0).all()  # descent would need beta > phi_m
 
 
 class TestFixedPointUpdate:
     def test_zero_trace_clips_to_lower_bound(self):
         vsc = unit_scenario(GRID, phi_l=0.1, phi_m=0.4)
-        out = fixed_point_update(_state(GRID, 1.0, 0.2), _adjoint(GRID, 0.0),
-                                 vsc.rates, vsc.cost, vsc.scenario.bounds)
+        out = fixed_point_update(_state(GRID, 1.0, 0.2), _adjoint(GRID, 0.0), vsc)
         np.testing.assert_allclose(out.values, 0.1)
 
     def test_interior_stationary_value(self):
         # r*p*phi0/(c*rho) = -0.25 pointwise: update is the interior value 0.25
         vsc = unit_scenario(GRID, r=0.5, phi_l=0.1, phi_m=0.4)
-        cost = CostParams(rho=1.0, c=1.0, sign_variant="minus")
-        out = fixed_point_update(_state(GRID, 1.0, 0.2), _adjoint(GRID, -0.5),
-                                 vsc.rates, cost, vsc.scenario.bounds)
+        vsc = vsc.with_cost(rho=1.0, c=1.0, sign_variant="minus")
+        out = fixed_point_update(_state(GRID, 1.0, 0.2), _adjoint(GRID, -0.5), vsc)
         np.testing.assert_allclose(out.values, 0.25, atol=1e-15)
 
     def test_only_product_c_rho_enters(self):
         vsc = unit_scenario(GRID, r=0.5, phi_l=0.0, phi_m=1.0)
         state, adj = _state(GRID, 0.9, 0.2), _adjoint(GRID, -0.7)
-        out1 = fixed_point_update(state, adj, vsc.rates,
-                                  CostParams(rho=2.0, c=1.0), vsc.scenario.bounds)
-        out2 = fixed_point_update(state, adj, vsc.rates,
-                                  CostParams(rho=1.0, c=2.0), vsc.scenario.bounds)
+        out1 = fixed_point_update(state, adj, vsc.with_cost(rho=2.0, c=1.0))
+        out2 = fixed_point_update(state, adj, vsc.with_cost(rho=1.0, c=2.0))
         np.testing.assert_allclose(out1.values, out2.values, atol=1e-15)
 
 
@@ -169,8 +165,7 @@ class TestOptimize:
         beta = rep.beta_opt.values
         state = sp.solve_state(vsc, beta, ctx=ctx)
         adj = solve_adjoint(vsc, beta, state, ctx=ctx)
-        target = fixed_point_update(state, adj, vsc.rates, vsc.cost,
-                                    vsc.scenario.bounds).values
+        target = fixed_point_update(state, adj, vsc).values
         assert np.abs(beta - target).max() < 10 * vsc.tolerances.fixed_point_tol
 
     def test_relaxed_update_reaches_same_fixed_point(self):
@@ -187,7 +182,7 @@ class TestOptimize:
         vsc = unit_scenario(gamma=1.0, mu=0.1, phi_l=0.0, phi_m=1e9, k=0.01)
         grow = {"scale": 1.0}
 
-        def runaway(state, adjoint, rates, cost, bounds):
+        def runaway(state, adjoint, scenario):
             grow["scale"] *= 2.0
             return Field.full(vsc.grid, ("size", "time", "space"), grow["scale"])
 

@@ -8,6 +8,10 @@ reaction arrays E and Fsrc, so it checks how the step applies them, not how
 they were built.  The forward arithmetic is the same operation for
 operation, so the state must agree bit for bit; the adjoint scatter sums in
 another order and is held to 1e-14 relative.
+
+The batched march, the brute-force search and the gradient check are held to
+the same standard against per-control loops: every batch member's arithmetic
+is that of a single march, so results must be identical.
 """
 
 from __future__ import annotations
@@ -17,9 +21,11 @@ import pytest
 
 from sizepop import rates as rate_lib
 from sizepop.adjoint import solve_adjoint
-from sizepop.forward import StepContext, solve_state
+from sizepop.forward import StepContext, solve_state, solve_states
+from sizepop.model import Grid3, NumericalError
+from sizepop.optimizer import evaluate_cost, evaluate_costs, gradient_field
+from sizepop.oracles import brute_force_search, gradient_check
 from sizepop.presets import brute_force_instance, smooth_default, tiny_random
-from sizepop.model import Grid3
 from conftest import unit_scenario
 
 
@@ -131,3 +137,101 @@ def test_step_operator_matches_loop_reference(name):
     phi, phi0 = reference_adjoint(vsc, ctx, beta)
     for got, want in ((adj.phi.values, phi), (adj.phi_at_zero.values, phi0)):
         assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1e-300)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_batched_march_matches_separate_solves(name, n):
+    vsc = SCENARIOS[name]()
+    ctx = StepContext(vsc)
+    grid = vsc.grid
+    betas = 0.2 + 0.5 * np.random.default_rng(11).random((n, grid.Ns, grid.Nt + 1, grid.Nx))
+
+    p, newborn = solve_states(vsc, betas, ctx=ctx)
+    costs = evaluate_costs(grid, p, betas, vsc.cost)
+    assert p.shape == (n, grid.Ns, grid.Nt + 1, grid.Nx)
+    assert newborn.shape == (n, grid.Nt + 1, grid.Nx)
+    for m in range(n):
+        state = solve_state(vsc, betas[m], ctx=ctx)
+        assert np.array_equal(p[m], state.p.values)
+        assert np.array_equal(newborn[m], state.newborn_density.values)
+        assert np.array_equal(p[m], reference_state(vsc, ctx, betas[m]))
+        assert costs[m] == evaluate_cost(state, betas[m], vsc.cost)
+
+
+def test_non_finite_batch_member_is_named():
+    vsc = tiny_random(seed=0)
+    grid = vsc.grid
+    betas = np.full((3, grid.Ns, grid.Nt + 1, grid.Nx), 0.4)
+    betas[1, 0, 1, 0] = np.nan
+    with pytest.raises(NumericalError, match=r"batch member 1 at \(i=\d+, j=2, k=\d+\)"):
+        solve_states(vsc, betas)
+    with pytest.raises(ValueError, match="control batch shape"):
+        solve_states(vsc, betas[0])
+
+
+def looped_brute_force_search(vsc, n_levels, ctx):
+    """One state solve per lattice point, strict < keeps the first minimum."""
+    grid = vsc.grid
+    lo = float(vsc.phi_l_grid.max())
+    hi = float(vsc.phi_m_grid.min())
+    levels = np.linspace(lo, hi, n_levels)
+    n_dof = grid.Nt
+
+    def control(vals):
+        b = np.full((grid.Ns, grid.Nt + 1, grid.Nx), lo)
+        for j, v in enumerate(vals):
+            b[:, j, :] = v
+        return b
+
+    best_J = np.inf
+    best_vals = None
+    for multi in np.ndindex(*(n_levels,) * n_dof):
+        vals = levels[list(multi)]
+        b = control(vals)
+        J = evaluate_cost(solve_state(vsc, b, ctx=ctx), b, vsc.cost)
+        if J < best_J:
+            best_J, best_vals = J, vals
+    step = levels[1] - levels[0]
+    sens = 0.0
+    for d in range(n_dof):
+        for sign in (-1.0, 1.0):
+            vals = best_vals.copy()
+            vals[d] += sign * step
+            if vals[d] < lo - 1e-12 or vals[d] > hi + 1e-12:
+                continue
+            b = control(vals)
+            sens = max(sens, abs(evaluate_cost(solve_state(vsc, b, ctx=ctx), b, vsc.cost) - best_J))
+    return best_J, best_vals, sens
+
+
+@pytest.mark.parametrize("make, n_levels", [
+    (brute_force_instance, 21),  # the oracle's lattice: 9261 controls in 19 batches
+    (growth_case_c, 3),          # no renewal, six levels: 729 controls in 2 batches
+])
+def test_brute_force_search_matches_looped_search(make, n_levels):
+    vsc = make()
+    ctx = StepContext(vsc)
+    best_J, best_vals, sens = brute_force_search(vsc, n_levels=n_levels, ctx=ctx)
+    ref_J, ref_vals, ref_sens = looped_brute_force_search(vsc, n_levels, ctx)
+    assert best_J == ref_J
+    assert np.array_equal(best_vals, ref_vals)
+    assert sens == ref_sens
+
+
+def test_gradient_check_matches_looped_differences():
+    vsc = smooth_default(12, 12, 6, seed=3)
+    ctx = StepContext(vsc)
+    rows = gradient_check(vsc, n_directions=4, seed=5, ctx=ctx)
+    rng = np.random.default_rng(5)
+    beta = vsc.phi_l_grid + 0.35 * (vsc.phi_m_grid - vsc.phi_l_grid)
+    state = solve_state(vsc, beta, ctx=ctx)
+    g = gradient_field(state, solve_adjoint(vsc, beta, state, ctx=ctx), vsc).values
+    eps = 1e-6 * max(float(np.abs(beta).max()), 1.0)
+    for row in rows:
+        delta = rng.standard_normal(beta.shape)
+        bp, bm = beta + eps * delta, beta - eps * delta
+        jp = evaluate_cost(solve_state(vsc, bp, ctx=ctx), bp, vsc.cost)
+        jm = evaluate_cost(solve_state(vsc, bm, ctx=ctx), bm, vsc.cost)
+        assert row["fd"] == (jp - jm) / (2.0 * eps)
+        assert row["analytic"] == float((vsc.grid.volume_weights() * g * delta).sum())
