@@ -7,6 +7,12 @@ for the decay factor exactly additive over adjacent grid-aligned intervals
 and makes composed traces reuse bit-identical leg values.  The growth rate is
 extended constant outside [0, s_f]; in the extension region the decay
 integrand is zero because the extended rate no longer varies with size.
+
+The tracer takes node times per curve as well as shared ones: an array of
+times that broadcasts against the starting sizes gives every curve its own
+legs, with the arithmetic of a scalar trace.  StepContext uses this to trace
+every cell of every time step in one sweep, and the crossing-time bisection
+advances all its brackets in lockstep, one vectorized RK4 leg per halving.
 """
 
 from __future__ import annotations
@@ -33,14 +39,18 @@ def _gamma_ext(gamma: RateField, grid: Grid3, s, t):
     return gamma(s=s, t=np.broadcast_to(np.asarray(t, dtype=float), s.shape))
 
 
-def _rk4_leg(gamma: RateField, grid: Grid3, t0: float, s0, t1: float):
+def _rk4_leg(gamma: RateField, grid: Grid3, t0, s0, t1):
     """One leg from t0 to t1 (either direction) with RK4_SUBSTEPS steps.
 
     `s0` may be a scalar or an array of starting sizes advanced in lockstep.
+    `t0` and `t1` may be scalars, shared by every curve, or arrays that
+    broadcast against `s0`, which gives every curve a leg of its own; each
+    curve's arithmetic is then that of a scalar leg.
     """
     n = RK4_SUBSTEPS
     h = (t1 - t0) / n
     s = np.asarray(s0, dtype=float)
+    s = np.broadcast_to(s, np.broadcast_shapes(s.shape, np.shape(h)))
     t = t0
     for _ in range(n):
         k1 = _gamma_ext(gamma, grid, s, t)
@@ -73,56 +83,65 @@ def _leg_times(lo: float, hi: float, dt: float, extra=()) -> np.ndarray:
     return np.asarray(out)
 
 
-def trace_curve(gamma: RateField, grid: Grid3, t0: float, s0,
-                times: np.ndarray) -> np.ndarray:
+def trace_curve(gamma: RateField, grid: Grid3, t0, s0, times) -> np.ndarray:
     """Sizes along the curve(s) through (t0, s0) at the given breakpoint times.
 
-    `times` must be monotone and start at t0; `s0` may be an array of
-    starting sizes, in which case the leading output axis runs over times
-    and the rest over the curves.  The result is unclamped, so a backward
-    trace may go below zero; callers that need the physical size clamp
-    afterwards.
+    `times` runs over its leading axis, must be monotone and start at t0;
+    `s0` may be an array of starting sizes, in which case the leading output
+    axis runs over times and the rest over the curves.  Each entry of
+    `times` may be a scalar shared by all curves or an array that
+    broadcasts against `s0`, so that every curve steps on its own node
+    times; StepContext traces the nodes of every time step in one call this
+    way.  The result is unclamped, so a backward trace may go below zero;
+    callers that need the physical size clamp afterwards.
     """
-    s0 = np.asarray(s0, dtype=float)
-    out = np.empty((len(times),) + s0.shape)
-    s = s0
-    out[0] = s0
-    for idx, (a, b) in enumerate(zip(times[:-1], times[1:]), start=1):
-        s = _rk4_leg(gamma, grid, float(a), s, float(b))
+    times = np.asarray(times, dtype=float)
+    s = np.asarray(s0, dtype=float)
+    out = np.empty((len(times),) + np.broadcast_shapes(s.shape, times.shape[1:]))
+    out[0] = s
+    for idx in range(1, len(times)):
+        s = _rk4_leg(gamma, grid, times[idx - 1], s, times[idx])
         out[idx] = s
     return out
 
 
-def _trace_raw(gamma: RateField, grid: Grid3, t0: float, s0: float, t_query: float) -> float:
-    """Unclamped curve value at t_query, stepping on grid-aligned legs."""
-    if t_query == t0:
-        return s0
-    lo, hi = min(t0, t_query), max(t0, t_query)
-    times = _leg_times(lo, hi, grid.dt)
-    if t_query < t0:
-        times = times[::-1]
-    return float(trace_curve(gamma, grid, t0, s0, times)[-1])
+def _bisect(f, lo, hi, tol: float = 1e-12) -> np.ndarray:
+    """Roots of f on the brackets [lo[m], hi[m]], bisected in lockstep.
 
-
-def _bisect(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise RootBracketError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    `f(idx, x)` evaluates the functions of the entries `idx` at the points
+    `x`.  Every entry follows the scalar midpoint rule on its own: a bracket
+    end where f vanishes is the root; otherwise the bracket is halved, with
+    an early exit at a midpoint where f == 0, until it is no wider than
+    `tol` or no float lies strictly inside it, and its midpoint is the root.
+    Raises RootBracketError, for the first such entry, when f has the same
+    sign at both ends of a bracket.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    every = np.arange(lo.size)
+    flo = f(every, lo)
+    fhi = f(every, hi)
+    same_sign = flo * fhi > 0.0
+    if same_sign.any():
+        m = int(np.argmax(same_sign))
+        raise RootBracketError(f"no sign change on [{lo[m]}, {hi[m]}]: f={flo[m]}, {fhi[m]}")
+    root = np.where(flo == 0.0, lo, hi)
+    run = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
+    while run.size:
+        mid = 0.5 * (lo[run] + hi[run])
+        stop = (hi[run] - lo[run] <= tol) | (mid == lo[run]) | (mid == hi[run])
+        root[run[stop]] = mid[stop]
+        run, mid = run[~stop], mid[~stop]
+        fm = f(run, mid)
+        zero = fm == 0.0
+        root[run[zero]] = mid[zero]
+        left = flo[run] * fm < 0.0
+        hi[run[left]] = mid[left]
+        right = ~left & ~zero
+        lo[run[right]] = mid[right]
+        flo[run[right]] = fm[right]
+        run = run[~zero]
+    return root
 
 
 def decay_factor(t_from: float, t_to: float, t: float, s: float,

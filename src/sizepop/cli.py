@@ -3,8 +3,10 @@
 Subcommands: simulate, adjoint, optimize, gradcheck, oracle.  Each run that
 produces files also writes a manifest recording the resolved options, the
 wall-clock duration, the seed and a SHA-256 checksum of every artifact.
-Exit codes: 0 success, 1 usage or configuration error, 2 oracle or check
-failure, 3 numerical failure.
+Exit codes: 0 success, 1 usage or configuration error (including a file
+that cannot be read or written, and a control outside the box
+[phi_l, phi_m]), 2 oracle or check failure, 3 numerical failure, 4 internal
+error.  A failure prints its message to stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -16,14 +18,17 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 
 from .adjoint import solve_adjoint
+from .characteristics import RootBracketError
 from .forward import StepContext, solve_state
 from .model import (
     Field,
     NumericalError,
     ScenarioValidationError,
     ValidatedScenario,
+    control_array,
     validate_scenario,
 )
 from .oracles import ORACLE_NAMES, gradient_check, run_oracles
@@ -35,6 +40,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
 
 
 def _sha256(path: Path) -> str:
@@ -68,19 +74,34 @@ def _load_validated(path: str) -> ValidatedScenario:
 
 
 def _resolve_beta(spec: str, vsc: ValidatedScenario):
-    """A control given on the command line: a constant or a field CSV path."""
+    """A control given on the command line: a constant or a field CSV path.
+
+    A finite value outside the box [phi_l, phi_m] is a usage error; a NaN
+    passes, so that the solver reports it as a numerical failure.
+    """
     try:
-        return float(spec)
+        beta = float(spec)
     except ValueError:
-        pass
-    return read_field_csv(spec, vsc.grid)
+        beta = read_field_csv(spec, vsc.grid)
+    values = control_array(vsc, beta)
+    outside = (values < vsc.phi_l_grid) | (values > vsc.phi_m_grid)
+    if outside.any():
+        i, j, k = (int(v) for v in np.argwhere(outside)[0])
+        value = float(values[i, j, k])
+        if value < vsc.phi_l_grid[i, j, k]:
+            side, name, bound = "below", "phi_l", vsc.phi_l_grid[i, j, k]
+        else:
+            side, name, bound = "above", "phi_m", vsc.phi_m_grid[i, j, k]
+        raise ValueError(f"--beta: control {value!r} at (i={i}, j={j}, k={k}) is {side} "
+                         f"bounds.{name} = {float(bound)!r}")
+    return beta
 
 
 def _cmd_simulate(args) -> int:
+    started = time.time()
     vsc = _load_validated(args.scenario)
     if args.seed is not None:
         vsc = vsc.with_tolerances(seed=args.seed)
-    started = time.time()
     beta = _resolve_beta(args.beta, vsc)
     state = solve_state(vsc, beta)
     out = Path(args.out)
@@ -96,10 +117,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_adjoint(args) -> int:
+    started = time.time()
     vsc = _load_validated(args.scenario)
     if args.seed is not None:
         vsc = vsc.with_tolerances(seed=args.seed)
-    started = time.time()
     beta = _resolve_beta(args.beta, vsc)
     ctx = StepContext(vsc)
     state = solve_state(vsc, beta, ctx=ctx)
@@ -115,6 +136,7 @@ def _cmd_adjoint(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    started = time.time()
     vsc = _load_validated(args.scenario)
     if args.max_iters is not None or args.tol is not None or args.relax is not None:
         vsc = vsc.with_tolerances(**{
@@ -126,7 +148,6 @@ def _cmd_optimize(args) -> int:
         })
     if args.seed is not None:
         vsc = vsc.with_tolerances(seed=args.seed)
-    started = time.time()
     report = optimize(vsc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -140,6 +161,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    started = time.time()
     if args.scenario:
         vsc = _load_validated(args.scenario)
     else:
@@ -147,7 +169,6 @@ def _cmd_gradcheck(args) -> int:
         vsc = smooth_default(12, 12, 6, seed=args.seed or 0)
     if args.seed is not None:
         vsc = vsc.with_tolerances(seed=args.seed)
-    started = time.time()
     rows = gradient_check(vsc, n_directions=args.directions, seed=vsc.tolerances.seed)
     print(f"{'dir':>4} {'analytic':>24} {'central diff':>24} {'rel err':>12}  result")
     for r in rows:
@@ -241,12 +262,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ScenarioFileError, ScenarioValidationError, RateSpecError, ValueError) as err:
+    except (ScenarioFileError, ScenarioValidationError, RateSpecError, ValueError,
+            OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except NumericalError as err:
+    except (NumericalError, RootBracketError, ArithmeticError) as err:
+        # ArithmeticError: a Python float overflowed or divided by zero
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except Exception as err:  # the CLI boundary: no traceback reaches the user
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -16,6 +16,19 @@ StepContext precomputes once per scenario:
      second-order Neumann ghost-point closure, solved by LAPACK dgtsv on the
      three bands.
 
+StepContext builds the parts of every step at once.  One characteristic
+trace takes all cells of all steps back over their step, on the RK4 substep
+nodes of shape (RK4_SUBSTEPS+1, Nt, Ns); the feet, the step midpoints and
+the trapezoid decay factors follow as whole arrays, and masks over (Nt, Ns)
+sort the cells into the stencil cases: interpolation between two cells, a
+blend of the newborn value with the first cell, constant extrapolation of
+the first cell (growth cases c/d), or a cell whose characteristic entered
+through s = 0 during the step.  The crossing times of the entering cells
+are bisected in lockstep.  The reaction rates are evaluated once per step
+at the midpoints, which keeps the temporaries at (Ns, Nx).  Each cell's
+arithmetic is that of a per-cell build, so the arrays are bit-identical to
+one.
+
 The linearized step, the sensitivity march and the state march all apply
 these parts through one primitive; the adjoint applies T_j.T and solves with
 the transposed bands, so it is the exact transpose of the linear step by
@@ -45,8 +58,9 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 from scipy.sparse import csr_array
 
-from .characteristics import RK4_SUBSTEPS, _bisect, _trace_raw, decay_factor, trace_curve
-from .model import Field, NumericalError, ValidatedScenario, control_array
+from .characteristics import RK4_SUBSTEPS, _bisect, _rk4_leg, decay_factor, trace_curve
+from .model import Field, Grid3, NumericalError, ValidatedScenario, control_array
+from .rates import RateField
 
 
 def _neumann_bands(nx: int, dx: float, k: float,
@@ -81,6 +95,33 @@ def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
     return x.T.reshape(rhs.shape)
 
 
+def _entering_cells(gamma: RateField, grid: Grid3, jj: np.ndarray,
+                    ii: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Cells (j, i) whose characteristic entered through s = 0 during step j.
+
+    Such a cell takes only the newborn boundary value, scaled by the decay
+    factor over [t_c, t_{j+1}], and its reaction acts over that interval,
+    evaluated at its midpoint.  The crossing times t_c of all the cells, over
+    all steps, are bisected in lockstep on the backward RK4 leg from
+    t_{j+1}.  Returns t_c, the decay factors and the midpoints (t, s).
+
+    The decay factor stays one decay_factor call per cell.  Its node set
+    comes from _leg_times, whose breakpoints (grid multiples, deduplication)
+    may differ from cell to cell, and its trapezoid sums one cell's nodes as
+    a 1-D array; a stacked, column-wise trapezoid would sum in another order
+    and move the factor in the last bit.  Entering cells are few, about
+    gamma*dt/ds per step.
+    """
+    t_hi = grid.t_points[jj + 1]
+    s = grid.s_centers[ii]
+    t_c = _bisect(lambda idx, eta: _rk4_leg(gamma, grid, t_hi[idx], s[idx], eta),
+                  grid.t_points[jj], t_hi)
+    q = np.array([decay_factor(a, b, b, c, gamma, grid) for a, b, c in zip(t_c, t_hi, s)])
+    t_mid = 0.5 * (t_c + t_hi)
+    s_mid = np.clip(_rk4_leg(gamma, grid, t_hi, s, t_mid), 0.0, grid.s_f)
+    return t_c, q, t_mid, s_mid
+
+
 class StepContext:
     """Precomputed stepping machinery for one validated scenario.
 
@@ -104,70 +145,74 @@ class StepContext:
         ns, nt, nx = grid.Ns, grid.Nt, grid.Nx
         ds, dt = grid.ds, grid.dt
         s = grid.s_centers
+        t0, t1 = grid.t_points[:-1], grid.t_points[1:]
 
-        self.transport: list[csr_array] = []
+        # one backward sweep over every cell of every step: curve values at
+        # the RK4 substep nodes of each step, shape (RK4_SUBSTEPS+1, Nt, Ns),
+        # give the feet, the step midpoints and the trapezoid quadrature for
+        # the decay factor
+        n_sub = RK4_SUBSTEPS
+        node_t = (t1 + (t0 - t1) * np.arange(n_sub + 1)[:, None] / n_sub)[:, :, None]
+        svals = trace_curve(gamma, grid, node_t[0], s, node_t)
+        feet_raw = svals[-1]
+        in_domain = (svals >= 0.0) & (svals <= grid.s_f)
+        dsg = np.zeros_like(svals)
+        if in_domain.any():
+            dsg[in_domain] = gamma.ds(
+                s=svals[in_domain], t=np.broadcast_to(node_t, svals.shape)[in_domain])
+        q = np.exp(np.trapezoid(dsg, node_t, axis=0))  # node_t descends: sign flips
+
+        # stencil cases over (Nt, Ns); cells entering through s = 0 during the
+        # step are bisected below, the others interpolate at the clamped foot
+        feet = np.clip(feet_raw, 0.0, grid.s_f)
+        entering = (feet_raw < 0.0) & self.has_renewal
+        interior = ~entering & (feet >= s[0])
+        # below the first cell: blend the newborn boundary value with the
+        # first cell, or in cases c/d, which have no boundary data,
+        # extrapolate the first cell as a constant
+        below = ~entering & ~interior
+        blend = below & self.has_renewal
+        extrapolate = below & (not self.has_renewal)
+
+        lo_idx = np.zeros((nt, ns), dtype=int)
+        lo_w = np.zeros((nt, ns))
+        hi_w = np.zeros((nt, ns))
+        bnode_w = np.zeros((nt, ns))
+        i0 = np.minimum(((feet[interior] - s[0]) / ds).astype(int), ns - 2)
+        theta = np.clip((feet[interior] - s[i0]) / ds, 0.0, 1.0)
+        lo_idx[interior] = i0
+        lo_w[interior] = q[interior] * (1.0 - theta)
+        hi_w[interior] = q[interior] * theta
+        theta = feet[blend] / s[0]
+        lo_w[blend] = q[blend] * theta
+        bnode_w[blend] = q[blend] * (1.0 - theta)
+        lo_w[extrapolate] = q[extrapolate]
+        hi_idx = np.where(interior, lo_idx + 1, 0)
+
+        dt_eff = np.full((nt, ns), dt)
+        t_mid = np.repeat(0.5 * (t0 + t1)[:, None], ns, axis=1)
+        s_mid = np.clip(svals[n_sub // 2], 0.0, grid.s_f)
+        if entering.any():
+            jj, ii = np.nonzero(entering)
+            t_c, bnode_w[jj, ii], t_mid[jj, ii], s_mid[jj, ii] = _entering_cells(
+                gamma, grid, jj, ii)
+            dt_eff[jj, ii] = t1[jj] - t_c
+
         indptr = np.arange(0, 3 * ns + 1, 3)
+        cols = np.stack([lo_idx, hi_idx, np.full((nt, ns), ns)], axis=-1).reshape(nt, -1)
+        vals = np.stack([lo_w, hi_w, bnode_w], axis=-1).reshape(nt, -1)
+        self.transport = [csr_array((vals[j], cols[j], indptr), shape=(ns, ns + 1))
+                          for j in range(nt)]
+        # one rate evaluation per step: a single (Nt, Ns, Nx) one would hold
+        # several temporaries of the full grid's size at once
         self.E = np.empty((nt, ns, nx))
         self.Fsrc = np.empty((nt, ns, nx))
-        n_sub = RK4_SUBSTEPS
+        x = grid.x_points[None, :]
         for j in range(nt):
-            t0, t1 = grid.t_points[j], grid.t_points[j + 1]
-            # one vectorized backward sweep over all cells: curve values at the
-            # RK4 substep nodes give the feet, the step midpoints, and the
-            # trapezoid quadrature for the decay factor in one pass
-            node_t = t1 + (t0 - t1) * np.arange(n_sub + 1) / n_sub
-            svals = trace_curve(gamma, grid, t1, s, node_t)
-            feet_raw = svals[-1]
-            in_domain = (svals >= 0.0) & (svals <= grid.s_f)
-            dsg = np.zeros_like(svals)
-            if in_domain.any():
-                dsg[in_domain] = gamma.ds(
-                    s=svals[in_domain],
-                    t=np.broadcast_to(node_t[:, None], svals.shape)[in_domain],
-                )
-            q_all = np.exp(np.trapezoid(dsg, node_t, axis=0))  # node_t descends: sign flips
-
-            lo_idx = np.zeros(ns, dtype=int)
-            hi_idx = np.zeros(ns, dtype=int)
-            lo_w = np.zeros(ns)
-            hi_w = np.zeros(ns)
-            bnode_w = np.zeros(ns)
-            dt_eff = np.full(ns, dt)
-            s_mid = np.clip(svals[n_sub // 2], 0.0, grid.s_f)
-            t_mid = np.full(ns, 0.5 * (t0 + t1))
-            for i in range(ns):
-                foot_raw = feet_raw[i]
-                if foot_raw < 0.0 and self.has_renewal:
-                    # characteristic entered through s = 0 during the step
-                    t_c = _bisect(lambda eta: _trace_raw(gamma, grid, t1, s[i], eta), t0, t1)
-                    q = decay_factor(t_c, t1, t1, s[i], gamma, grid)
-                    bnode_w[i] = q
-                    dt_eff[i] = t1 - t_c
-                    t_mid[i] = 0.5 * (t_c + t1)
-                    s_mid[i] = min(max(_trace_raw(gamma, grid, t1, s[i], t_mid[i]), 0.0), grid.s_f)
-                else:
-                    foot = min(max(foot_raw, 0.0), grid.s_f)
-                    q = q_all[i]
-                    if foot >= s[0]:
-                        i0 = min(int((foot - s[0]) / ds), ns - 2)
-                        theta = min(max((foot - s[i0]) / ds, 0.0), 1.0)
-                        lo_idx[i], hi_idx[i] = i0, i0 + 1
-                        lo_w[i], hi_w[i] = q * (1.0 - theta), q * theta
-                    elif self.has_renewal:
-                        # blend the newborn boundary value with the first cell
-                        theta = foot / s[0]
-                        lo_w[i] = q * theta
-                        bnode_w[i] = q * (1.0 - theta)
-                    else:
-                        # no boundary data in cases c/d: constant extrapolation
-                        lo_w[i] = q
-            cols = np.stack([lo_idx, hi_idx, np.full(ns, ns)], axis=1).ravel()
-            vals = np.stack([lo_w, hi_w, bnode_w], axis=1).ravel()
-            self.transport.append(csr_array((vals, cols, indptr), shape=(ns, ns + 1)))
-            mu_mid = vsc.rates.mu(s=s_mid[:, None], t=t_mid[:, None], x=grid.x_points[None, :])
-            f_mid = vsc.rates.f(s=s_mid[:, None], t=t_mid[:, None], x=grid.x_points[None, :])
-            self.E[j] = np.exp(-mu_mid * dt_eff[:, None])
-            self.Fsrc[j] = f_mid * dt_eff[:, None]
+            mu_mid = vsc.rates.mu(s=s_mid[j, :, None], t=t_mid[j, :, None], x=x)
+            f_mid = vsc.rates.f(s=s_mid[j, :, None], t=t_mid[j, :, None], x=x)
+            self.E[j] = np.exp(-mu_mid * dt_eff[j, :, None])
+            self.Fsrc[j] = f_mid * dt_eff[j, :, None]
 
         # T_j.T shares T_j's arrays, but building the transposed matrix object
         # costs more than the product itself on small grids: do it once

@@ -18,6 +18,10 @@ from .rates import RateField
 
 GROWTH_CASES = ("a", "b", "c", "d")
 
+# Cells in one (size, time, space) field: 16 GiB of float64.  A larger grid
+# is refused before anything is allocated for it.
+MAX_GRID_CELLS = 2**31
+
 
 class ScenarioValidationError(ValueError):
     """One or more scenario invariants are violated; lists each by name."""
@@ -124,7 +128,15 @@ class Grid3:
         bad.extend(f"grid invariant violated: {name} finite (got {value})"
                    for name, value in (("s_f", self.s_f), ("T", self.T), ("L", self.L))
                    if np.isinf(value))
-        return bad
+        if bad:
+            return bad
+        cells = self.Ns * (self.Nt + 1) * self.Nx
+        if cells > MAX_GRID_CELLS:
+            return [f"grid invariant violated: Ns*(Nt+1)*Nx <= {MAX_GRID_CELLS} (got {cells})"]
+        return [f"grid invariant violated: {name} > 0 (got {value})"
+                for name, value in (("ds = s_f/Ns", self.ds), ("dt = T/Nt", self.dt),
+                                    ("dx = L/(Nx-1)", self.dx))
+                if not value > 0]
 
 
 @dataclass(frozen=True)

@@ -5,17 +5,19 @@ a table sampled on the scenario grid, or (API only, not the file format) an
 arbitrary callable.  All rates evaluate off-grid, because the characteristic
 tracer and the reaction step need values at characteristic midpoints.  Tables
 are interpolated multilinearly with constant extension outside the sampled
-box; the growth rate additionally exposes its size derivative, computed
-analytically for presets and by second-order finite differences for tables.
+box, by a short numpy routine (one searchsorted per axis, weights over the
+2^d cell corners), so importing this module loads no scipy; the growth rate
+additionally exposes its size derivative, computed analytically for presets
+and by second-order finite differences for tables.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 AXES_ORDER = ("size", "time", "space")
 
@@ -96,7 +98,11 @@ def from_preset(name: str, axes: tuple[str, ...], params: dict, x_length: float 
     """
     p = dict(params)
     if name == "constant":
-        return constant(p.pop("value"), axes)
+        if "value" not in p:
+            raise RateSpecError("constant preset needs a 'value'")
+        value = p.pop("value")
+        _reject_leftover(name, p)
+        return constant(value, axes)
     if name == "linear-in-s":
         if "size" not in axes:
             raise RateSpecError("linear-in-s preset on a rate without a size axis")
@@ -157,7 +163,10 @@ def from_preset(name: str, axes: tuple[str, ...], params: dict, x_length: float 
             raise RateSpecError("cosine-mode-in-x needs the spatial length")
         a = float(p.pop("a", 0.0))
         b = float(p.pop("b", 1.0))
-        mode = int(p.pop("mode", 1))
+        mode = p.pop("mode", 1)
+        if not float(mode).is_integer():
+            raise RateSpecError(f"cosine-mode-in-x mode must be an integer, got {mode!r}")
+        mode = int(mode)
         _reject_leftover(name, p)
         idx = axes.index("space")
         w = mode * np.pi / x_length
@@ -175,32 +184,51 @@ def _reject_leftover(name: str, params: dict) -> None:
         raise RateSpecError(f"preset {name!r} got unknown parameters {sorted(params)}")
 
 
+def _multilinear(coords: list[np.ndarray], values: np.ndarray) -> Callable:
+    """Multilinear interpolant of `values` sampled on the tensor grid `coords`.
+
+    The returned function takes one broadcast coordinate array per axis and
+    clips it to the sampled box.  Each point falls in the cell [c[i], c[i+1]]
+    found by searchsorted, with the last node in the last cell, and takes
+    the weighted sum of the 2^d cell corners; on a grid node all weight sits
+    on that node, so node values come back exactly.
+    """
+
+    def interp(*args):
+        cells, fracs = [], []
+        for c, a in zip(coords, args):
+            a = np.clip(a, c[0], c[-1])
+            i = np.clip(np.searchsorted(c, a, side="right") - 1, 0, len(c) - 2)
+            cells.append(i)
+            fracs.append((a - c[i]) / (c[i + 1] - c[i]))
+        out = 0.0
+        for corner in itertools.product((0, 1), repeat=len(coords)):
+            weight = 1.0
+            for up, w in zip(corner, fracs):
+                weight = weight * (w if up else 1.0 - w)
+            out = out + weight * values[tuple(i + up for i, up in zip(cells, corner))]
+        return out
+
+    return interp
+
+
 def from_table(values: np.ndarray, axes: tuple[str, ...], coords: list[np.ndarray]) -> RateField:
     """Rate tabulated on the grid samples, interpolated multilinearly off-grid.
 
     Coordinates outside the sampled box are clipped first, which realizes the
-    constant extension the solvers assume for characteristic feet.
+    constant extension the solvers assume for characteristic feet.  Every
+    axis needs at least two strictly increasing samples.
     """
     values = np.asarray(values, dtype=float)
+    coords = [np.asarray(c, dtype=float) for c in coords]
     expected = tuple(len(c) for c in coords)
     if values.shape != expected:
         raise RateSpecError(f"table shape {values.shape} does not match grid samples {expected}")
-    interp = RegularGridInterpolator(coords, values, method="linear")
-    lows = [c[0] for c in coords]
-    highs = [c[-1] for c in coords]
-
-    def fn(*args):
-        pts = np.stack([np.clip(a, lo, hi) for a, lo, hi in zip(args, lows, highs)], axis=-1)
-        return interp(pts).reshape(np.shape(args[0]))
-
+    if any(len(c) < 2 or not (np.diff(c) > 0).all() for c in coords):
+        raise RateSpecError("table coordinates need two or more strictly increasing samples per axis")
     d_ds = None
     if "size" in axes:
         i = axes.index("size")
-        dvals = np.gradient(values, coords[i], axis=i, edge_order=2)
-        dinterp = RegularGridInterpolator(coords, dvals, method="linear")
-
-        def d_ds(*args):
-            pts = np.stack([np.clip(a, lo, hi) for a, lo, hi in zip(args, lows, highs)], axis=-1)
-            return dinterp(pts).reshape(np.shape(args[0]))
-
-    return RateField(axes=axes, fn=fn, d_ds=d_ds, spec={"table": True, "shape": values.shape})
+        d_ds = _multilinear(coords, np.gradient(values, coords[i], axis=i, edge_order=2))
+    return RateField(axes=axes, fn=_multilinear(coords, values), d_ds=d_ds,
+                     spec={"table": True, "shape": values.shape})

@@ -29,6 +29,7 @@ from .model import (
     Field,
     Grid3,
     Scenario,
+    ScenarioValidationError,
     Tolerances,
     VitalRates,
 )
@@ -57,6 +58,8 @@ _TOL_KEYS = {"fixed_point_tol", "max_iters", "relax_omega", "seed"}
 
 
 def _require_keys(d: dict, required: set, allowed: set, where: str) -> None:
+    if not isinstance(d, dict):
+        raise ScenarioFileError(f"{where}: expected an object, got {type(d).__name__}")
     missing = required - set(d)
     if missing:
         raise ScenarioFileError(f"{where}: {sorted(missing)[0]} required")
@@ -65,11 +68,24 @@ def _require_keys(d: dict, required: set, allowed: set, where: str) -> None:
         raise ScenarioFileError(f"{where}: unknown key {sorted(unknown)[0]!r}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value, key: str) -> float:
+    """A numeric entry; strings, booleans, null, lists and objects are errors."""
+    if not _is_number(value):
+        raise ScenarioFileError(f"{key}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ScenarioFileError(f"{key}: {value} is out of the float range") from None
+
+
 def _integer(value, key: str) -> int:
     """An integer entry; a fractional, non-finite or non-numeric value is an
     error rather than truncated.  Integral floats such as 20.0 are accepted."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not float(value).is_integer():
+    if not _is_number(value) or isinstance(value, float) and not value.is_integer():
         raise ScenarioFileError(f"{key}: expected an integer, got {value!r}")
     return int(value)
 
@@ -77,12 +93,12 @@ def _integer(value, key: str) -> int:
 def parse_rate(name: str, spec, grid: Grid3) -> RateField:
     """Build one rate from its file entry; errors name the offending key."""
     axes = RATE_AXES[name]
-    if isinstance(spec, (int, float)):
-        return rate_lib.constant(float(spec), axes)
+    if _is_number(spec):
+        return rate_lib.constant(_number(spec, f"rates.{name}"), axes)
     if not isinstance(spec, dict):
         raise ScenarioFileError(f"rates.{name}: expected number or object, got {type(spec).__name__}")
     if "preset" in spec:
-        params = {k: v for k, v in spec.items() if k != "preset"}
+        params = {k: _number(v, f"rates.{name}.{k}") for k, v in spec.items() if k != "preset"}
         try:
             return rate_lib.from_preset(spec["preset"], axes, params, x_length=grid.L)
         except RateSpecError as err:
@@ -91,7 +107,11 @@ def parse_rate(name: str, spec, grid: Grid3) -> RateField:
         extra = set(spec) - {"table"}
         if extra:
             raise ScenarioFileError(f"rates.{name}: unknown key {sorted(extra)[0]!r}")
-        values = np.asarray(spec["table"], dtype=float)
+        try:
+            values = np.asarray(spec["table"], dtype=float)
+        except (TypeError, ValueError) as err:
+            raise ScenarioFileError(f"rates.{name}: table is not an array of numbers: {err}") \
+                from err
         coords = [grid.axis_coords(a) for a in axes]
         expected = tuple(len(c) for c in coords)
         if values.shape != expected:
@@ -108,8 +128,12 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
     gd = doc["grid"]
     _require_keys(gd, _GRID_KEYS, _GRID_KEYS, "grid")
     grid = Grid3(Ns=_integer(gd["Ns"], "grid.Ns"), Nt=_integer(gd["Nt"], "grid.Nt"),
-                 Nx=_integer(gd["Nx"], "grid.Nx"),
-                 s_f=float(gd["s_f"]), T=float(gd["T"]), L=float(gd["L"]))
+                 Nx=_integer(gd["Nx"], "grid.Nx"), s_f=_number(gd["s_f"], "grid.s_f"),
+                 T=_number(gd["T"], "grid.T"), L=_number(gd["L"], "grid.L"))
+    # tables are checked against the grid's samples, so the grid comes first
+    violations = grid.validate()
+    if violations:
+        raise ScenarioValidationError(violations)
 
     rd = doc["rates"]
     rate_names = {"gamma", "mu", "r", "f", "C", "p0"}
@@ -125,21 +149,23 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
     if "cost" in doc:
         cd = doc["cost"]
         _require_keys(cd, set(), _COST_KEYS, "cost")
-        cost = CostParams(rho=float(cd.get("rho", cost.rho)),
-                          c=float(cd.get("c", cost.c)),
+        cost = CostParams(rho=_number(cd.get("rho", cost.rho), "cost.rho"),
+                          c=_number(cd.get("c", cost.c), "cost.c"),
                           sign_variant=cd.get("sign_variant", cost.sign_variant))
 
     tol = Tolerances()
     if "tolerances" in doc:
         td = doc["tolerances"]
         _require_keys(td, set(), _TOL_KEYS, "tolerances")
-        tol = Tolerances(fixed_point_tol=float(td.get("fixed_point_tol", tol.fixed_point_tol)),
+        tol = Tolerances(fixed_point_tol=_number(td.get("fixed_point_tol", tol.fixed_point_tol),
+                                                 "tolerances.fixed_point_tol"),
                          max_iters=_integer(td.get("max_iters", tol.max_iters),
                                             "tolerances.max_iters"),
-                         relax_omega=float(td.get("relax_omega", tol.relax_omega)),
+                         relax_omega=_number(td.get("relax_omega", tol.relax_omega),
+                                             "tolerances.relax_omega"),
                          seed=_integer(td.get("seed", tol.seed), "tolerances.seed"))
 
-    return Scenario(grid=grid, rates=rates, k=float(doc["diffusion_k"]),
+    return Scenario(grid=grid, rates=rates, k=_number(doc["diffusion_k"], "diffusion_k"),
                     bounds=bounds, cost=cost, tolerances=tol)
 
 

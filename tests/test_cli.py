@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sizepop import cli
+from sizepop.characteristics import RootBracketError
 from sizepop.cli import main
 from sizepop.model import Grid3, validate_scenario
 from sizepop.oracles import oracle_transpose_duality, run_oracles
@@ -277,6 +284,95 @@ class TestSubcommands:
 
     def test_unknown_oracle_is_usage_error(self):
         assert main(["oracle", "--only", "nonexistent"]) == 1
+
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--beta", "0.4"],
+        ["adjoint", "--beta", "0.4"],
+        ["optimize", "--max-iters", "2"],
+        ["gradcheck", "--directions", "1"],
+    ])
+    def test_manifest_duration_includes_loading(self, tmp_path, monkeypatch, argv):
+        load = cli._load_validated
+
+        def slow_load(path):
+            time.sleep(0.05)
+            return load(path)
+
+        monkeypatch.setattr(cli, "_load_validated", slow_load)
+        out = tmp_path / "run"
+        main([*argv, "--scenario", _write(tmp_path, MINIMAL), "--out", str(out)])
+        assert json.loads((out / "manifest.json").read_text())["duration_s"] >= 0.05
+
+    @pytest.mark.parametrize("beta, message", [
+        ("-5", r"control -5.0 at \(i=0, j=0, k=0\) is below bounds.phi_l = 0.0"),
+        ("1.5", r"control 1.5 at \(i=0, j=0, k=0\) is above bounds.phi_m = 1.0"),
+        ("csv", r"control 1.25 at \(i=2, j=3, k=1\) is above bounds.phi_m = 1.0"),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "adjoint"])
+    def test_control_outside_box_is_usage_error(self, tmp_path, capsys, command, beta, message):
+        if beta == "csv":
+            grid = Grid3(**MINIMAL["grid"])
+            from sizepop.model import Field
+            vals = np.full((grid.Ns, grid.Nt + 1, grid.Nx), 0.5)
+            vals[2, 3, 1] = 1.25
+            vals[4, 0, 0] = -0.5  # later in row order than (2, 3, 1)
+            beta = str(tmp_path / "beta.csv")
+            write_field_csv(Field(grid, ("size", "time", "space"), vals), beta)
+        assert main([command, "--scenario", _write(tmp_path, MINIMAL), "--beta", beta,
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert re.search(message, err), err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("beta", ["0", "1", "0.0", "1.0"])
+    def test_control_on_the_box_edges_runs(self, tmp_path, beta):
+        assert main(["simulate", "--scenario", _write(tmp_path, MINIMAL), "--beta", beta,
+                     "--out", str(tmp_path / "o")]) == 0
+
+
+def _raise(err):
+    def fail(*args, **kwargs):
+        raise err
+    return fail
+
+
+@pytest.mark.parametrize("case, code, message", [
+    ("out is a file", 1, "error: .*File exists"),
+    ("out below a file", 1, "error: .*Not a directory"),
+    ("lost bracket", 3, "numerical failure: no sign change"),
+    ("float overflow", 3, "numerical failure: .*out of range"),
+    ("unexpected", 4, "internal error: KeyError: 'boom'"),
+])
+def test_failures_exit_with_one_line(tmp_path, capsys, monkeypatch, case, code, message):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "out"
+    if case == "out is a file":
+        out = tmp_path / "file"
+    elif case == "out below a file":
+        out = tmp_path / "file" / "sub"
+    elif case == "lost bracket":
+        monkeypatch.setattr(cli, "solve_state", _raise(RootBracketError("no sign change")))
+    elif case == "float overflow":
+        monkeypatch.setattr(cli, "solve_state", _raise(OverflowError(34, "out of range")))
+    else:
+        monkeypatch.setattr(cli, "solve_state", _raise(KeyError("boom")))
+    assert main(["simulate", "--scenario", _write(tmp_path, MINIMAL), "--beta", "0.4",
+                 "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert re.match(message, err), err
+    assert "Traceback" not in err
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    probe = "import sys, sizepop.cli; print(sorted(m for m in sys.modules if 'interpolate' in m))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("seed", [72, 152, 154, 280, 287, 388])

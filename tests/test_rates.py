@@ -89,3 +89,41 @@ class TestTables:
         r = rate_lib.from_table(vals, ("size", "time"), coords)
         got = r.ds(s=s, t=np.full_like(s, 0.4))
         np.testing.assert_allclose(got, 2 * s, atol=1e-12)
+
+    @pytest.mark.parametrize("axes", [("size", "space"), ("time", "space"),
+                                      ("size", "time"), ("size", "time", "space")])
+    def test_matches_scipy_multilinear_interpolation(self, rng, axes):
+        # scipy is the independent reference here; the package itself no
+        # longer imports scipy.interpolate
+        from scipy.interpolate import RegularGridInterpolator
+
+        coords = [GRID.axis_coords(a) for a in axes]
+        vals = 0.1 + rng.random(tuple(len(c) for c in coords))
+        r = rate_lib.from_table(vals, axes, coords)
+        kw = dict(zip(("s", "t", "x"), (None,) * 3))
+        names = {"size": "s", "time": "t", "space": "x"}
+
+        # on the nodes: exact, including the last node of every axis
+        mesh = np.meshgrid(*coords, indexing="ij")
+        assert np.array_equal(r(**{**kw, **{names[a]: m for a, m in zip(axes, mesh)}}), vals)
+
+        # off the nodes, inside and outside the sampled box (clipped)
+        pts = [c[0] - 0.3 * (c[-1] - c[0]) + 1.6 * (c[-1] - c[0]) * rng.random(500)
+               for c in coords]
+        clipped = np.stack([np.clip(p, c[0], c[-1]) for p, c in zip(pts, coords)], axis=-1)
+        args = {**kw, **{names[a]: p for a, p in zip(axes, pts)}}
+        want = RegularGridInterpolator(coords, vals)(clipped)
+        assert np.abs(r(**args) - want).max() <= 1e-14 * np.abs(want).max()
+        if "size" in axes:
+            i = axes.index("size")
+            dvals = np.gradient(vals, coords[i], axis=i, edge_order=2)
+            dwant = RegularGridInterpolator(coords, dvals)(clipped)
+            assert np.abs(r.ds(**args) - dwant).max() <= 1e-14 * np.abs(dwant).max()
+
+    def test_coordinates_must_increase(self):
+        with pytest.raises(RateSpecError, match="strictly increasing"):
+            rate_lib.from_table(np.zeros((3, 2)), ("size", "space"),
+                                [np.array([0.0, 0.5, 0.5]), np.array([0.0, 1.0])])
+        with pytest.raises(RateSpecError, match="two or more"):
+            rate_lib.from_table(np.zeros((1, 2)), ("size", "space"),
+                                [np.array([0.5]), np.array([0.0, 1.0])])
