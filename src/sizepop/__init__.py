@@ -3,7 +3,6 @@ adjoint-based optimal fertility control."""
 
 from .adjoint import (
     AdjointSolution,
-    SensitivitySolution,
     duality_residual,
     solve_adjoint,
     solve_sensitivity,

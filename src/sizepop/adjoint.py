@@ -3,9 +3,11 @@
 The adjoint is the exact transpose of the discrete forward step, marched
 backward from a zero terminal condition with the running cost source, rather
 than a separate discretization of a continuous dual system.  Both directions
-use the step operator StepContext holds: the adjoint step applies the
-transposed diffusion bands, the reaction factor and T_j.T, and the
-sensitivity march advances through the same primitive as the state march.
+use the scenario's one StepContext, built once per validated scenario and
+read from `vsc.step_context`: the adjoint step applies the transposed
+diffusion bands, the reaction factor and T_j.T, and the sensitivity march
+advances through the same primitive as the state march.  Neither takes a
+control: both use `state.beta`, the control the state was solved with.
 That choice buys two machine-precision identities the optimizer relies on:
 
   * one-step duality  <forward_step(u), v> = <u, adjoint_step(v)>,
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import StateSolution, StepContext
+from .forward import StateSolution
 from .model import Field, ValidatedScenario, control_array
 
 
@@ -45,22 +47,12 @@ class AdjointSolution:
     phi_at_zero: Field
 
 
-@dataclass(frozen=True)
-class SensitivitySolution:
-    """Directional state derivative for a control perturbation delta."""
-
-    z: Field
-
-
-def _check_state_match(vsc: ValidatedScenario, beta_arr: np.ndarray, state: StateSolution) -> None:
+def _check_state_match(vsc: ValidatedScenario, state: StateSolution) -> None:
     if state.p.grid != vsc.grid:
         raise ValueError("state was solved on a different grid")
-    if state.beta.shape != beta_arr.shape or not np.array_equal(state.beta, beta_arr):
-        raise ValueError("state was solved with a different control")
 
 
-def solve_adjoint(vsc: ValidatedScenario, beta, state: StateSolution,
-                  ctx: StepContext | None = None) -> AdjointSolution:
+def solve_adjoint(vsc: ValidatedScenario, state: StateSolution) -> AdjointSolution:
     """Backward march of the transposed one-step operator.
 
     The running source is the derivative of the population term of the cost
@@ -68,12 +60,12 @@ def solve_adjoint(vsc: ValidatedScenario, beta, state: StateSolution,
     with the same quadrature weights the cost uses; the final time level
     carries zero weight, so phi(., T, .) = 0 exactly.  In growth cases with
     a size exit (a/c) the transpose never propagates information from beyond
-    s_f, which realizes the zero boundary value there structurally.
+    s_f, which realizes the zero boundary value there structurally.  The
+    control is the one the state was solved with.
     """
-    ctx = ctx or StepContext(vsc)
+    _check_state_match(vsc, state)
+    ctx = vsc.step_context
     grid = vsc.grid
-    beta_arr = control_array(grid, beta)
-    _check_state_match(vsc, beta_arr, state)
 
     c = vsc.cost.c
     wx = grid.space_weights() * grid.dx
@@ -82,7 +74,7 @@ def solve_adjoint(vsc: ValidatedScenario, beta, state: StateSolution,
     phi = np.zeros((grid.Ns, grid.Nt + 1, grid.Nx))
     phi0 = np.zeros((grid.Nt + 1, grid.Nx))
     for j in range(grid.Nt - 1, -1, -1):
-        lam, yhat = ctx.apply_step_adjoint(beta_arr, j, lam)
+        lam, yhat = ctx.apply_step_adjoint(state.beta, j, lam)
         lam = lam + source
         phi[:, j, :] = -c * lam / (grid.ds * wx[None, :])
         if ctx.has_renewal:
@@ -96,8 +88,7 @@ def solve_adjoint(vsc: ValidatedScenario, beta, state: StateSolution,
     return out
 
 
-def solve_sensitivity(vsc: ValidatedScenario, beta, state: StateSolution, delta,
-                      ctx: StepContext | None = None) -> SensitivitySolution:
+def solve_sensitivity(vsc: ValidatedScenario, state: StateSolution, delta) -> Field:
     """Forward march of the linearized system in the direction delta.
 
     Same transport, reaction and diffusion as the state solve, zero initial
@@ -105,61 +96,37 @@ def solve_sensitivity(vsc: ValidatedScenario, beta, state: StateSolution, delta,
     integral(r * delta * p) ds / gamma(0,t) alongside the usual
     integral(r * beta * z).  In growth cases without a renewal boundary the
     control cannot influence the state and z stays identically zero.
+    Returns z; the control is the one the state was solved with.
     """
-    ctx = ctx or StepContext(vsc)
+    _check_state_match(vsc, state)
+    ctx = vsc.step_context
     grid = vsc.grid
-    beta_arr = control_array(grid, beta)
     delta_arr = control_array(grid, delta)
-    _check_state_match(vsc, beta_arr, state)
 
     p = state.p.values
     z = np.zeros((grid.Ns, grid.Nt + 1, grid.Nx))
     for j in range(grid.Nt):
-        b = ctx.births(beta_arr, j, z[:, j, :]) + ctx.births(delta_arr, j, p[:, j, :])
+        b = ctx.births(state.beta, j, z[:, j, :]) + ctx.births(delta_arr, j, p[:, j, :])
         z[:, j + 1, :] = ctx._advance(j, z[:, j, :], b)
-    out = SensitivitySolution(z=Field(grid, ("size", "time", "space"), z))
-    out.z.check_finite()
+    out = Field(grid, ("size", "time", "space"), z)
+    out.check_finite()
     return out
 
 
-def duality_residual(vsc: ValidatedScenario, beta, state: StateSolution,
-                     adjoint: AdjointSolution, delta,
-                     ctx: StepContext | None = None) -> float:
+def duality_residual(vsc: ValidatedScenario, state: StateSolution,
+                     adjoint: AdjointSolution, delta) -> float:
     """Relative defect of the sensitivity/adjoint pairing.
 
     Compares -c * integral(z) against integral(delta * r * p * phi0) under
     the discrete volume quadrature; with the transposed adjoint both sides
     agree to rounding error.
     """
-    ctx = ctx or StepContext(vsc)
     grid = vsc.grid
     delta_arr = control_array(grid, delta)
-    z = solve_sensitivity(vsc, beta, state, delta_arr, ctx=ctx).z.values
+    z = solve_sensitivity(vsc, state, delta_arr).values
     w = grid.volume_weights()
     lhs = -vsc.cost.c * float((w * z).sum())
     rhs = float((w * delta_arr * vsc.r_grid * state.p.values
                  * adjoint.phi_at_zero.values[None, :, :]).sum())
     return abs(lhs - rhs) / max(1.0, abs(rhs))
-
-
-def assemble_step_matrix(ctx: StepContext, beta, j: int, adjoint: bool = False) -> np.ndarray:
-    """Dense matrix of the linear one-step map (or its adjoint) at level j.
-
-    Intended for small-grid verification; columns are the images of the unit
-    vectors on the flattened (size, space) slice.
-    """
-    grid = ctx.vsc.grid
-    beta_arr = control_array(grid, beta)
-    n = grid.Ns * grid.Nx
-    mat = np.empty((n, n))
-    for col in range(n):
-        e = np.zeros(n)
-        e[col] = 1.0
-        u = e.reshape(grid.Ns, grid.Nx)
-        if adjoint:
-            out, _ = ctx.apply_step_adjoint(beta_arr, j, u)
-        else:
-            out = ctx.apply_step_linear(beta_arr, j, u)
-        mat[:, col] = out.ravel()
-    return mat
 

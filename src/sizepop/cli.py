@@ -22,7 +22,7 @@ import numpy as np
 
 from .adjoint import solve_adjoint
 from .characteristics import RootBracketError
-from .forward import StepContext, solve_state
+from .forward import solve_state
 from .model import (
     Field,
     NumericalError,
@@ -100,8 +100,6 @@ def _resolve_beta(spec: str, vsc: ValidatedScenario):
 def _cmd_simulate(args) -> int:
     started = time.time()
     vsc = _load_validated(args.scenario)
-    if args.seed is not None:
-        vsc = vsc.with_tolerances(seed=args.seed)
     beta = _resolve_beta(args.beta, vsc)
     state = solve_state(vsc, beta)
     out = Path(args.out)
@@ -119,12 +117,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_adjoint(args) -> int:
     started = time.time()
     vsc = _load_validated(args.scenario)
-    if args.seed is not None:
-        vsc = vsc.with_tolerances(seed=args.seed)
-    beta = _resolve_beta(args.beta, vsc)
-    ctx = StepContext(vsc)
-    state = solve_state(vsc, beta, ctx=ctx)
-    adj = solve_adjoint(vsc, beta, state, ctx=ctx)
+    state = solve_state(vsc, _resolve_beta(args.beta, vsc))
+    adj = solve_adjoint(vsc, state)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_field_csv(adj.phi, out / "phi.csv")
@@ -222,14 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="scenario JSON file")
     p.add_argument("--beta", required=True, help="control: a constant or a field CSV path")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("adjoint", help="solve the adjoint system backward in time")
     p.add_argument("--scenario", required=True)
     p.add_argument("--beta", required=True, help="control: a constant or a field CSV path")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=_cmd_adjoint)
 
     p = sub.add_parser("optimize", help="projected fixed-point sweep to the optimal control")
@@ -261,7 +253,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # a non-finite value fails the solvers' finite checks (exit 3), so
+        # numpy's own warnings about it would only add lines to stderr
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (ScenarioFileError, ScenarioValidationError, RateSpecError, ValueError,
             OSError) as err:
         print(f"error: {err}", file=sys.stderr)

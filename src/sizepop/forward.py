@@ -1,7 +1,8 @@
 """Forward time marching of the size-structured density with diffusion.
 
 Each step from t_j to t_{j+1} is an affine map built from four parts that
-StepContext precomputes once per scenario:
+StepContext precomputes once per validated scenario (on first use of
+`vsc.step_context`, which caches it; no solver takes it as an argument):
 
   1. a renewal row: the newborn boundary value b from the birth integral
      (midpoint rule in size), the only place the control enters,
@@ -123,7 +124,8 @@ def _entering_cells(gamma: RateField, grid: Grid3, jj: np.ndarray,
 
 
 class StepContext:
-    """Precomputed stepping machinery for one validated scenario.
+    """Precomputed stepping machinery for one validated scenario; the
+    solvers read it from `vsc.step_context`, which builds it once.
 
     `transport[j]` is the CSR matrix T_j (Ns x (Ns+1)); every row holds three
     entries in a fixed order, the two interpolation weights at the
@@ -138,8 +140,13 @@ class StepContext:
     """
 
     def __init__(self, vsc: ValidatedScenario):
-        self.vsc = vsc
+        # only the arrays the step methods read: holding `vsc` itself would
+        # make a reference cycle with the scenario that caches this context
         grid = vsc.grid
+        self.ds = grid.ds
+        self.r_grid = vsc.r_grid
+        self.gamma0_t = vsc.gamma0_t
+        self.C_grid = vsc.C_grid
         gamma = vsc.rates.gamma
         self.has_renewal = vsc.growth_case.has_renewal
         ns, nt, nx = grid.Ns, grid.Nt, grid.Nx
@@ -223,8 +230,7 @@ class StepContext:
 
     def renewal_weights(self, beta: np.ndarray, j: int) -> np.ndarray:
         """Coefficients of the birth integral at level j: r*beta*ds/gamma(0,t)."""
-        grid = self.vsc.grid
-        return self.vsc.r_grid[:, j, :] * beta[..., j, :] * (grid.ds / self.vsc.gamma0_t[j])
+        return self.r_grid[:, j, :] * beta[..., j, :] * (self.ds / self.gamma0_t[j])
 
     def births(self, beta: np.ndarray, j: int, u: np.ndarray) -> np.ndarray:
         """Renewal row applied to a slice: the birth integral over size.
@@ -239,7 +245,7 @@ class StepContext:
         """Boundary density p(0, t_j, x) from immigration plus births."""
         if not self.has_renewal:
             return np.zeros(p_slice.shape[:-2] + p_slice.shape[-1:])
-        return self.births(beta, j, p_slice) + self.vsc.C_grid[j] / self.vsc.gamma0_t[j]
+        return self.births(beta, j, p_slice) + self.C_grid[j] / self.gamma0_t[j]
 
     def _advance(self, j: int, u: np.ndarray, b: np.ndarray,
                  source: bool = False) -> np.ndarray:
@@ -284,7 +290,7 @@ class StepContext:
 class StateSolution:
     """Density over the full grid plus the recorded newborn boundary trace
     and the total population per time level.  Keeps the control it was
-    solved with so dependent solves can detect mismatches."""
+    solved with, which the adjoint and sensitivity solves read."""
 
     p: Field
     newborn_density: Field
@@ -308,8 +314,7 @@ def total_population(p: Field) -> np.ndarray:
     return (p.values * w[None, None, :]).sum(axis=(0, 2)) * grid.ds
 
 
-def solve_states(vsc: ValidatedScenario, betas: np.ndarray,
-                 ctx: StepContext | None = None) -> tuple[np.ndarray, np.ndarray]:
+def solve_states(vsc: ValidatedScenario, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """March K controls at once from the initial slice to the horizon.
 
     `betas` has shape (K, Ns, Nt+1, Nx).  Returns the densities, shape
@@ -318,7 +323,7 @@ def solve_states(vsc: ValidatedScenario, betas: np.ndarray,
     extrapolation of the first size cell.  Aborts on the first non-finite
     value, naming the batch member when K > 1.
     """
-    ctx = ctx or StepContext(vsc)
+    ctx = vsc.step_context
     grid = vsc.grid
     betas = np.asarray(betas, dtype=float)
     if betas.ndim != 4 or betas.shape[1:] != (grid.Ns, grid.Nt + 1, grid.Nx):
@@ -343,14 +348,14 @@ def solve_states(vsc: ValidatedScenario, betas: np.ndarray,
     return p, newborn
 
 
-def solve_state(vsc: ValidatedScenario, beta, ctx: StepContext | None = None) -> StateSolution:
+def solve_state(vsc: ValidatedScenario, beta) -> StateSolution:
     """March the density from the initial slice to the horizon.
 
     The K = 1 case of solve_states, plus the total population per level.
     """
     grid = vsc.grid
     beta_arr = control_array(vsc, beta)
-    p, newborn = solve_states(vsc, beta_arr[None], ctx)
+    p, newborn = solve_states(vsc, beta_arr[None])
     p_field = Field(grid, ("size", "time", "space"), p[0])
     beta_frozen = beta_arr.copy()
     beta_frozen.flags.writeable = False

@@ -10,6 +10,7 @@ whichever of the three axes they vary.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -102,14 +103,6 @@ class Grid3:
         wt = self.time_weights() * self.dt
         wx = self.space_weights() * self.dx
         return self.ds * wt[None, :, None] * wx[None, None, :] * np.ones((self.Ns, 1, 1))
-
-    def flatten_index(self, i: int, j: int, k: int) -> int:
-        return (i * (self.Nt + 1) + j) * self.Nx + k
-
-    def unflatten_index(self, flat: int) -> tuple[int, int, int]:
-        k = flat % self.Nx
-        rest = flat // self.Nx
-        return rest // (self.Nt + 1), rest % (self.Nt + 1), k
 
     def validate(self) -> list[str]:
         bad = []
@@ -269,10 +262,6 @@ class GrowthCase:
     def has_renewal(self) -> bool:
         return self.tag in ("a", "b")
 
-    @property
-    def has_size_exit(self) -> bool:
-        return self.tag in ("a", "c")
-
 
 @dataclass(frozen=True)
 class ValidatedScenario:
@@ -280,7 +269,9 @@ class ValidatedScenario:
 
     Grid arrays are shaped (Ns, Nt+1, Nx) for (s,t,x) rates, (Nt+1,) for the
     boundary growth traces, (Nt+1, Nx) for newborn immigration and (Ns, Nx)
-    for the initial density.  Immutable; safe to share across runs.
+    for the initial density.  Immutable; safe to share across runs.  The
+    step operator of the forward and adjoint marches is built once, on first
+    use of `step_context`, and cached on the instance.
     """
 
     scenario: Scenario
@@ -327,9 +318,11 @@ class ValidatedScenario:
     def tolerances(self) -> Tolerances:
         return self.scenario.tolerances
 
-    def with_cost(self, **kw) -> "ValidatedScenario":
-        sc = replace(self.scenario, cost=replace(self.scenario.cost, **kw))
-        return replace(self, scenario=sc)
+    @cached_property
+    def step_context(self):
+        """The forward.StepContext of this scenario, built on first use."""
+        from .forward import StepContext  # forward imports this module
+        return StepContext(self)
 
     def with_tolerances(self, **kw) -> "ValidatedScenario":
         tol = replace(self.scenario.tolerances, **kw)
@@ -437,6 +430,13 @@ def validate_scenario(sc: Scenario) -> ValidatedScenario:
         )
     if not sc.k > 0:
         violations.append(f"diffusion invariant violated: k > 0 (got {sc.k})")
+    elif np.isfinite(sc.k):
+        # the diffusion bands hold k*dt/dx^2; it must neither overflow nor
+        # underflow (grid.L near 1e300 or 1e-300 does either)
+        number = np.float64(sc.k) * grid.dt / np.float64(grid.dx) ** 2
+        if not (np.isfinite(number) and number > 0):
+            violations.append(f"diffusion invariant violated: diffusion_k*dt/dx^2 finite and "
+                              f"> 0, with dx = grid.L/(Nx-1) (got {float(number)})")
     if not sc.cost.rho > 0:
         violations.append(f"cost invariant violated: rho > 0 (got {sc.cost.rho})")
     if not sc.cost.c > 0:

@@ -8,7 +8,8 @@ and sign = -1 for the cost variant that subtracts the quadratic control term
 adjoint solve and a relaxed projected update until the control stops moving
 in the sup norm.  Convergence is guaranteed when the reported contraction
 ratio (M1*M4 + M2*M3)/(c*rho) is below one; the diagnostics estimate the
-four constants empirically from sample controls.
+four constants empirically from sample controls.  Every state and adjoint
+solve reads the scenario's StepContext, built once per validated scenario.
 """
 
 from __future__ import annotations
@@ -18,8 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import AdjointSolution, solve_adjoint
-from .forward import StateSolution, StepContext, solve_state
+from .forward import StateSolution, solve_state
 from .model import CostParams, Field, Grid3, ValidatedScenario, control_array
+
+# seeded random controls sampled by the contraction diagnostics, besides the
+# two box corners and the optimum
+N_RANDOM_SAMPLES = 2
 
 
 @dataclass(frozen=True)
@@ -115,8 +120,8 @@ def fixed_point_update(state: StateSolution, adjoint: AdjointSolution,
     return project_F(Field(vsc.grid, ("size", "time", "space"), h), vsc)
 
 
-def optimize(vsc: ValidatedScenario, beta0=None, ctx: StepContext | None = None,
-             compute_diagnostics: bool = True, n_random_samples: int = 2) -> OptimizationReport:
+def optimize(vsc: ValidatedScenario, beta0=None,
+             compute_diagnostics: bool = True) -> OptimizationReport:
     """Forward-backward sweep with relaxed projected updates.
 
     Iterates beta <- (1-omega)*beta + omega*F(update) from beta0 (default:
@@ -124,9 +129,8 @@ def optimize(vsc: ValidatedScenario, beta0=None, ctx: StepContext | None = None,
     below the configured tolerance.  Ten consecutive residual increases are
     reported as divergence.  The report carries the cost history, the update
     residuals and, unless disabled, contraction diagnostics sampled at the
-    box corners, the optimum and a few seeded random controls.
+    box corners, the optimum and N_RANDOM_SAMPLES seeded random controls.
     """
-    ctx = ctx or StepContext(vsc)
     grid = vsc.grid
     tol = vsc.tolerances.fixed_point_tol
     omega = vsc.tolerances.relax_omega
@@ -142,8 +146,8 @@ def optimize(vsc: ValidatedScenario, beta0=None, ctx: StepContext | None = None,
     status = "max_iters"
     grow_streak = 0
     for _ in range(max_iters):
-        state = solve_state(vsc, beta, ctx=ctx)
-        adj = solve_adjoint(vsc, beta, state, ctx=ctx)
+        state = solve_state(vsc, beta)
+        adj = solve_adjoint(vsc, state)
         J_history.append(evaluate_cost(state, beta, vsc.cost))
         target = fixed_point_update(state, adj, vsc).values
         beta_next = (1.0 - omega) * beta + omega * target
@@ -165,11 +169,11 @@ def optimize(vsc: ValidatedScenario, beta0=None, ctx: StepContext | None = None,
     if compute_diagnostics:
         rng = np.random.default_rng(vsc.tolerances.seed)
         samples = [vsc.phi_l_grid, vsc.phi_m_grid, beta]
-        for _ in range(n_random_samples):
+        for _ in range(N_RANDOM_SAMPLES):
             u = rng.random((grid.Ns, grid.Nt + 1, grid.Nx))
             samples.append(vsc.phi_l_grid + u * (vsc.phi_m_grid - vsc.phi_l_grid))
         try:
-            diagnostics = contraction_diagnostics(vsc, samples, ctx=ctx)
+            diagnostics = contraction_diagnostics(vsc, samples)
         except ValueError:
             diagnostics = None  # degenerate box: every sample identical
 
@@ -183,8 +187,7 @@ def optimize(vsc: ValidatedScenario, beta0=None, ctx: StepContext | None = None,
     )
 
 
-def contraction_diagnostics(vsc: ValidatedScenario, beta_samples,
-                            ctx: StepContext | None = None) -> ContractionDiagnostics:
+def contraction_diagnostics(vsc: ValidatedScenario, beta_samples) -> ContractionDiagnostics:
     """Estimate the contraction constants from sample controls.
 
     M3/M4 are the largest |p| and |phi| over the samples; M1/M2 are the
@@ -194,7 +197,6 @@ def contraction_diagnostics(vsc: ValidatedScenario, beta_samples,
     """
     if len(beta_samples) < 2:
         raise ValueError("need at least two control samples")
-    ctx = ctx or StepContext(vsc)
     grid = vsc.grid
     arrs = [control_array(grid, b) for b in beta_samples]
     states = []
@@ -202,8 +204,8 @@ def contraction_diagnostics(vsc: ValidatedScenario, beta_samples,
     m3 = 0.0
     m4 = 0.0
     for b in arrs:
-        state = solve_state(vsc, b, ctx=ctx)
-        adj = solve_adjoint(vsc, b, state, ctx=ctx)
+        state = solve_state(vsc, b)
+        adj = solve_adjoint(vsc, state)
         states.append(state.p.values)
         traces.append(adj.phi_at_zero.values)
         m3 = max(m3, float(np.max(np.abs(state.p.values))))

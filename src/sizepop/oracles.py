@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import presets
-from .forward import StepContext, solve_state, solve_states, step_diffusion
+from .forward import solve_state, solve_states, step_diffusion
 from .model import Field, Grid3, ValidatedScenario
 from .adjoint import duality_residual, solve_adjoint
 from .optimizer import evaluate_costs, gradient_field, optimize
@@ -96,7 +96,7 @@ def oracle_pure_transport() -> dict:
                    f"L1 errors {e_coarse:.3e} -> {e_fine:.3e}, halving ratio {ratio:.3f}")
 
 
-def mass_budget_residuals(vsc: ValidatedScenario, beta, ctx: StepContext | None = None):
+def mass_budget_residuals(vsc: ValidatedScenario, beta):
     """Per-step residuals of two mass budgets.
 
     discrete: departures read from the column sums of the transport matrix
@@ -106,8 +106,8 @@ def mass_budget_residuals(vsc: ValidatedScenario, beta, ctx: StepContext | None 
     dP/dt = births + feed - deaths - outflow with the size-exit flux from an
     extrapolated boundary trace; first-order consistent.
     """
-    ctx = ctx or StepContext(vsc)
-    st = solve_state(vsc, beta, ctx=ctx)
+    ctx = vsc.step_context
+    st = solve_state(vsc, beta)
     grid = vsc.grid
     P = st.total_population
     wx = grid.space_weights() * grid.dx
@@ -160,7 +160,7 @@ def oracle_transpose_duality(seed: int = 0, corrupt_adjoint_sign: bool = False) 
     step so the oracle demonstrably fails on a corrupted adjoint.
     """
     vsc = presets.tiny_random(seed=seed)
-    ctx = StepContext(vsc)
+    ctx = vsc.step_context
     grid = vsc.grid
     rng = np.random.default_rng(seed + 1)
     beta = 0.2 + rng.random((grid.Ns, grid.Nt + 1, grid.Nx))
@@ -180,27 +180,25 @@ def oracle_transpose_duality(seed: int = 0, corrupt_adjoint_sign: bool = False) 
         # bound |<Au, v>| <= |Au| |v| rather than by |lhs| itself
         scale = float(np.linalg.norm(au) * np.linalg.norm(v))
         worst = max(worst, abs(lhs - rhs) / max(scale, 1e-300))
-    state = solve_state(vsc, beta, ctx=ctx)
-    adj = solve_adjoint(vsc, beta, state, ctx=ctx)
+    state = solve_state(vsc, beta)
+    adj = solve_adjoint(vsc, state)
     delta = rng.standard_normal(beta.shape)
-    resid = duality_residual(vsc, beta, state, adj, delta, ctx=ctx)
+    resid = duality_residual(vsc, state, adj, delta)
     ok = worst <= 1e-12 and resid <= 1e-10
     return _result("transpose_duality", ok, max(worst, resid), 1e-12,
                    f"pairing {worst:.2e} (tol 1e-12), sensitivity identity {resid:.2e} (tol 1e-10)")
 
 
-def gradient_check(vsc: ValidatedScenario, n_directions: int = 5, seed: int = 0,
-                   ctx: StepContext | None = None) -> list[dict]:
+def gradient_check(vsc: ValidatedScenario, n_directions: int = 5, seed: int = 0) -> list[dict]:
     """Directional derivatives of the cost vs central differences.
 
     The 2 * n_directions perturbed controls march as one batch.
     """
-    ctx = ctx or StepContext(vsc)
     grid = vsc.grid
     rng = np.random.default_rng(seed)
     beta = vsc.phi_l_grid + 0.35 * (vsc.phi_m_grid - vsc.phi_l_grid)
-    state = solve_state(vsc, beta, ctx=ctx)
-    adj = solve_adjoint(vsc, beta, state, ctx=ctx)
+    state = solve_state(vsc, beta)
+    adj = solve_adjoint(vsc, state)
     g = gradient_field(state, adj, vsc).values
     w = grid.volume_weights()
     eps = 1e-6 * max(float(np.abs(beta).max()), 1.0)
@@ -208,7 +206,7 @@ def gradient_check(vsc: ValidatedScenario, n_directions: int = 5, seed: int = 0,
     # members 2d and 2d+1 are beta +/- eps * delta_d
     controls = np.stack([beta + eps * deltas, beta - eps * deltas], axis=1)
     controls = controls.reshape((2 * n_directions,) + beta.shape)
-    p, _ = solve_states(vsc, controls, ctx=ctx)
+    p, _ = solve_states(vsc, controls)
     J = evaluate_costs(grid, p, controls, vsc.cost)
     rows = []
     for d_idx, delta in enumerate(deltas):
@@ -233,8 +231,7 @@ def oracle_fd_gradient(seed: int = 0) -> dict:
 BRUTE_FORCE_BATCH = 512
 
 
-def brute_force_search(vsc: ValidatedScenario, n_levels: int = 21,
-                       ctx: StepContext | None = None):
+def brute_force_search(vsc: ValidatedScenario, n_levels: int = 21):
     """Exhaustive cost minimization over controls constant in (size, space)
     with one quantized value per active time level.
 
@@ -244,7 +241,6 @@ def brute_force_search(vsc: ValidatedScenario, n_levels: int = 21,
     the winner that stay in the box are evaluated as one more batch; their
     largest cost change is the returned quantization sensitivity.
     """
-    ctx = ctx or StepContext(vsc)
     grid = vsc.grid
     lo = float(vsc.phi_l_grid.max())
     hi = float(vsc.phi_m_grid.min())
@@ -255,7 +251,7 @@ def brute_force_search(vsc: ValidatedScenario, n_levels: int = 21,
         """J for each row of per-level values, shape (K, n_dof)."""
         b = np.full((len(vals), grid.Ns, grid.Nt + 1, grid.Nx), lo)
         b[:, :, :n_dof, :] = vals[:, None, :, None]
-        p, _ = solve_states(vsc, b, ctx=ctx)
+        p, _ = solve_states(vsc, b)
         return evaluate_costs(grid, p, b, vsc.cost)
 
     lattice = levels[np.indices((n_levels,) * n_dof).reshape(n_dof, -1).T]
@@ -278,9 +274,8 @@ def brute_force_search(vsc: ValidatedScenario, n_levels: int = 21,
 
 def oracle_brute_force_optimum() -> dict:
     vsc = presets.brute_force_instance()
-    ctx = StepContext(vsc)
-    best_J, _, sens = brute_force_search(vsc, n_levels=21, ctx=ctx)
-    rep = optimize(vsc, ctx=ctx, compute_diagnostics=False)
+    best_J, _, sens = brute_force_search(vsc, n_levels=21)
+    rep = optimize(vsc, compute_diagnostics=False)
     gap = rep.J_history[-1] - best_J
     ok = rep.status == "converged" and gap <= sens + 1e-12
     return _result("brute_force_optimum", ok, gap, sens,

@@ -148,46 +148,3 @@ def mass_balance_preset(n: int = 48) -> ValidatedScenario:
     sc = Scenario(grid=grid, rates=rates, k=0.005, bounds=ControlBounds.constants(0.0, 1.0))
     return validate_scenario(sc)
 
-
-def random_nonneg_scenario(seed: int, Ns: int = 6, Nt: int = 8, Nx: int = 6) -> ValidatedScenario:
-    """Randomized nonnegative-data scenario for positivity sweeps.
-
-    Cycles through growth rates covering all four boundary sign cases.
-    """
-    rng = np.random.default_rng(seed)
-    grid = Grid3(Ns=Ns, Nt=Nt, Nx=Nx, s_f=1.0, T=1.0, L=1.0)
-    gamma_choice = rng.integers(0, 5)
-    if gamma_choice == 0:
-        gamma = rate_lib.constant(0.2 + rng.random(), ("size", "time"))        # case a
-    elif gamma_choice == 1:
-        gamma = rate_lib.from_preset("linear-in-s", ("size", "time"),
-                                     {"a": 0.2 + 0.5 * rng.random(), "b": 0.6 * rng.random()})
-    elif gamma_choice == 2:
-        gamma = rate_lib.from_preset("linear-in-s", ("size", "time"),
-                                     {"a": 0.0, "b": 0.5 + rng.random()})      # case c
-    elif gamma_choice == 3:
-        a = 0.3 + 0.7 * rng.random()                                           # case b
-        gamma = rate_lib.from_preset("linear-in-s", ("size", "time"),
-                                     {"a": a, "b": -a / grid.s_f})
-    else:
-        scale = 0.5 + rng.random()                                             # case d
-        gamma = rate_lib.from_callable(
-            lambda s, t, _c=scale: _c * s * (grid.s_f - s), ("size", "time"),
-            d_ds=lambda s, t, _c=scale: _c * (grid.s_f - 2.0 * s))
-
-    def table(axes, lo=0.0, hi=1.0):
-        shape = tuple(grid.axis_len(a) for a in axes)
-        coords = [grid.axis_coords(a) for a in axes]
-        return rate_lib.from_table(lo + (hi - lo) * rng.random(shape), axes, coords)
-
-    rates = VitalRates(
-        gamma=gamma,
-        mu=table(("size", "time", "space"), 0.0, 0.5),
-        r=table(("size", "time", "space"), 0.1, 0.9),
-        f=table(("size", "time", "space"), 0.0, 0.3),
-        C=table(("time", "space"), 0.0, 0.4),
-        p0=table(("size", "space"), 0.0, 2.0),
-    )
-    sc = Scenario(grid=grid, rates=rates, k=0.001 + 0.05 * rng.random(),
-                  bounds=ControlBounds.constants(0.0, 2.0))
-    return validate_scenario(sc)

@@ -14,7 +14,6 @@ import numpy as np
 
 import sizepop as sp
 from sizepop.adjoint import duality_residual, solve_adjoint
-from sizepop.forward import StepContext
 from sizepop.model import control_array, validate_scenario
 from sizepop.optimizer import (
     contraction_diagnostics,
@@ -32,11 +31,10 @@ from sizepop.oracles import (
 from sizepop.presets import (
     brute_force_instance,
     mass_balance_preset,
-    random_nonneg_scenario,
     smooth_default,
     tiny_random,
 )
-from conftest import smooth_random_rate
+from conftest import random_nonneg_scenario, smooth_random_rate
 
 
 def _report(criterion, ok, detail):
@@ -48,7 +46,7 @@ def _report(criterion, ok, detail):
 def test_criterion_1_discrete_duality():
     started = time.perf_counter()
     vsc = tiny_random(seed=0)  # Ns=3, Nt=3, Nx=4, random positive rates
-    ctx = StepContext(vsc)
+    ctx = vsc.step_context
     grid = vsc.grid
     rng = np.random.default_rng(1)
     beta = 0.2 + rng.random((grid.Ns, grid.Nt + 1, grid.Nx))
@@ -60,9 +58,9 @@ def test_criterion_1_discrete_duality():
         lhs = float((ctx.apply_step_linear(beta, j, u) * v).sum())
         rhs = float((u * ctx.apply_step_adjoint(beta, j, v)[0]).sum())
         worst = max(worst, abs(lhs - rhs) / (np.linalg.norm(u) * np.linalg.norm(v)))
-    state = sp.solve_state(vsc, beta, ctx=ctx)
-    adj = solve_adjoint(vsc, beta, state, ctx=ctx)
-    resid = duality_residual(vsc, beta, state, adj, rng.standard_normal(beta.shape), ctx=ctx)
+    state = sp.solve_state(vsc, beta)
+    adj = solve_adjoint(vsc, state)
+    resid = duality_residual(vsc, state, adj, rng.standard_normal(beta.shape))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12 and resid <= 1e-10 and elapsed < 1.0
     _report("1 (discrete duality)", ok,
@@ -72,12 +70,11 @@ def test_criterion_1_discrete_duality():
 def test_criterion_2_gradient_exactness():
     started = time.perf_counter()
     vsc = smooth_default(20, 20, 10)
-    ctx = StepContext(vsc)
     grid = vsc.grid
     rng = np.random.default_rng(2)
     beta = vsc.phi_l_grid + 0.35 * (vsc.phi_m_grid - vsc.phi_l_grid)
-    state = sp.solve_state(vsc, beta, ctx=ctx)
-    adj = solve_adjoint(vsc, beta, state, ctx=ctx)
+    state = sp.solve_state(vsc, beta)
+    adj = solve_adjoint(vsc, state)
     g = gradient_field(state, adj, vsc).values
     w = grid.volume_weights()
     eps = 1e-6 * max(float(np.abs(beta).max()), 1.0)
@@ -87,8 +84,8 @@ def test_criterion_2_gradient_exactness():
         delta = probe - beta  # feasible direction
         analytic = float((w * g * delta).sum())
         bp, bm = beta + eps * delta, beta - eps * delta
-        jp = evaluate_cost(sp.solve_state(vsc, bp, ctx=ctx), bp, vsc.cost)
-        jm = evaluate_cost(sp.solve_state(vsc, bm, ctx=ctx), bm, vsc.cost)
+        jp = evaluate_cost(sp.solve_state(vsc, bp), bp, vsc.cost)
+        jm = evaluate_cost(sp.solve_state(vsc, bm), bm, vsc.cost)
         fd = (jp - jm) / (2 * eps)
         worst = max(worst, abs(analytic - fd) / abs(fd))
     elapsed = time.perf_counter() - started
@@ -100,12 +97,11 @@ def test_criterion_2_gradient_exactness():
 def test_criterion_3_optimality_condition():
     started = time.perf_counter()
     vsc = smooth_default(20, 20, 10).with_tolerances(fixed_point_tol=1e-9, max_iters=300)
-    ctx = StepContext(vsc)
-    rep = optimize(vsc, ctx=ctx, compute_diagnostics=False)
+    rep = optimize(vsc, compute_diagnostics=False)
     assert rep.status == "converged"
     beta = rep.beta_opt.values
-    state = sp.solve_state(vsc, beta, ctx=ctx)
-    adj = solve_adjoint(vsc, beta, state, ctx=ctx)
+    state = sp.solve_state(vsc, beta)
+    adj = solve_adjoint(vsc, state)
     target = fixed_point_update(state, adj, vsc).values
     fp_resid = float(np.abs(beta - target).max())
 
@@ -137,12 +133,11 @@ def test_criterion_3_optimality_condition():
 
 def test_criterion_4_uniqueness_under_contraction():
     vsc = smooth_default(20, 20, 10).with_tolerances(fixed_point_tol=1e-9, max_iters=300)
-    ctx = StepContext(vsc)
     diag = contraction_diagnostics(
         vsc, [vsc.phi_l_grid, vsc.phi_m_grid,
-              0.5 * (vsc.phi_l_grid + vsc.phi_m_grid)], ctx=ctx)
-    r_lo = optimize(vsc, beta0=vsc.phi_l_grid, ctx=ctx, compute_diagnostics=False)
-    r_hi = optimize(vsc, beta0=vsc.phi_m_grid, ctx=ctx, compute_diagnostics=False)
+              0.5 * (vsc.phi_l_grid + vsc.phi_m_grid)])
+    r_lo = optimize(vsc, beta0=vsc.phi_l_grid, compute_diagnostics=False)
+    r_hi = optimize(vsc, beta0=vsc.phi_m_grid, compute_diagnostics=False)
     gap = float(np.abs(r_lo.beta_opt.values - r_hi.beta_opt.values).max())
     rates_ok = True
     worst_rate = 0.0
@@ -164,9 +159,8 @@ def test_criterion_4_uniqueness_under_contraction():
 def test_criterion_5_brute_force_optimum():
     started = time.perf_counter()
     vsc = brute_force_instance()
-    ctx = StepContext(vsc)
-    best_J, _, quant_sens = brute_force_search(vsc, n_levels=21, ctx=ctx)
-    rep = optimize(vsc, ctx=ctx, compute_diagnostics=False)
+    best_J, _, quant_sens = brute_force_search(vsc, n_levels=21)
+    rep = optimize(vsc, compute_diagnostics=False)
     gap = float(rep.J_history[-1] - best_J)
     elapsed = time.perf_counter() - started
     ok = rep.status == "converged" and gap <= quant_sens + 1e-12 and elapsed < 120.0
@@ -219,7 +213,6 @@ def _lipschitz_ratios(level: int, n_pairs: int, seed: int):
     """
     rng = np.random.default_rng(seed)
     base = smooth_default(10 * level, 10 * level, 6 * level)
-    ctx = StepContext(base)
     grid = base.grid
     wx = grid.space_weights() * grid.dx
 
@@ -236,8 +229,8 @@ def _lipschitz_ratios(level: int, n_pairs: int, seed: int):
                          rates=replace(base.scenario.rates, p0=p0))
             vsc = validate_scenario(sc)
             pair.append(vsc)
-        s1 = sp.solve_state(pair[0], beta_fixed, ctx=ctx)
-        s2 = sp.solve_state(pair[1], beta_fixed, ctx=ctx)
+        s1 = sp.solve_state(pair[0], beta_fixed)
+        s2 = sp.solve_state(pair[1], beta_fixed)
         denom = float((np.abs(pair[0].p0_grid - pair[1].p0_grid)
                        * wx[None, :]).sum() * grid.ds)
         m_init = max(m_init, l1_t(s1.p.values - s2.p.values) / denom)
@@ -250,10 +243,10 @@ def _lipschitz_ratios(level: int, n_pairs: int, seed: int):
         a1 = control_array(grid, b1)
         a2 = control_array(grid, b2)
         db = float(np.abs(a1 - a2).max())
-        st1 = sp.solve_state(base, a1, ctx=ctx)
-        st2 = sp.solve_state(base, a2, ctx=ctx)
-        ad1 = solve_adjoint(base, a1, st1, ctx=ctx)
-        ad2 = solve_adjoint(base, a2, st2, ctx=ctx)
+        st1 = sp.solve_state(base, a1)
+        st2 = sp.solve_state(base, a2)
+        ad1 = solve_adjoint(base, st1)
+        ad2 = solve_adjoint(base, st2)
         m_state = max(m_state, l1_t(st1.p.values - st2.p.values) / db)
         m_trace = max(m_trace, float(np.abs(ad1.phi_at_zero.values
                                             - ad2.phi_at_zero.values).max()) / db)

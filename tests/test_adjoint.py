@@ -7,24 +7,17 @@ import pytest
 
 import sizepop as sp
 from sizepop import rates as rate_lib
-from sizepop.adjoint import (
-    assemble_step_matrix,
-    duality_residual,
-    solve_adjoint,
-    solve_sensitivity,
-)
-from sizepop.forward import StepContext
+from sizepop.adjoint import duality_residual, solve_adjoint, solve_sensitivity
 from sizepop.model import Grid3, Scenario, VitalRates, validate_scenario
 from sizepop.presets import smooth_default, tiny_random
 from sizepop.optimizer import evaluate_cost
-from conftest import unit_scenario
+from conftest import assemble_step_matrix, unit_scenario
 
 
 def test_terminal_condition_is_exactly_zero():
     vsc = tiny_random(seed=2)
-    ctx = StepContext(vsc)
-    st = sp.solve_state(vsc, 0.5, ctx=ctx)
-    adj = solve_adjoint(vsc, 0.5, st, ctx=ctx)
+    st = sp.solve_state(vsc, 0.5)
+    adj = solve_adjoint(vsc, st)
     assert np.abs(adj.phi.values[:, -1, :]).max() == 0.0
     assert np.abs(adj.phi_at_zero.values[-1]).max() == 0.0
 
@@ -38,9 +31,8 @@ def test_unit_source_solution_reaches_nearest_exit():
     for n in (20, 40):
         grid = Grid3(Ns=n, Nt=n, Nx=3, s_f=1.0, T=1.0, L=1.0)
         vsc = unit_scenario(grid, gamma=1.0, mu=0.0)
-        ctx = StepContext(vsc)
-        st = sp.solve_state(vsc, 0.0, ctx=ctx)
-        adj = solve_adjoint(vsc, 0.0, st, ctx=ctx)
+        st = sp.solve_state(vsc, 0.0)
+        adj = solve_adjoint(vsc, st)
         S, T = np.meshgrid(grid.s_centers, grid.t_points, indexing="ij")
         expected = -np.minimum(grid.T - T, grid.s_f - S)
         errs.append(np.abs(adj.phi.values[:, :, 1] - expected).max())
@@ -56,9 +48,8 @@ def test_boundary_trace_converges_to_dual_trace():
     for n in (20, 40):
         grid = Grid3(Ns=n, Nt=n, Nx=3, s_f=1.0, T=1.0, L=1.0)
         vsc = unit_scenario(grid, gamma=0.4, mu=0.0)
-        ctx = StepContext(vsc)
-        st = sp.solve_state(vsc, 0.0, ctx=ctx)
-        adj = solve_adjoint(vsc, 0.0, st, ctx=ctx)
+        st = sp.solve_state(vsc, 0.0)
+        adj = solve_adjoint(vsc, st)
         t = grid.t_points
         expected = -np.minimum(grid.T - t, grid.s_f / 0.4)
         expected[-1] = 0.0
@@ -69,18 +60,17 @@ def test_boundary_trace_converges_to_dual_trace():
 
 def test_step_matrix_transpose_entrywise():
     vsc = tiny_random(seed=3)  # Ns=3, Nt=3, Nx=4
-    ctx = StepContext(vsc)
     rng = np.random.default_rng(3)
     beta = 0.2 + rng.random((3, 4, 4))
     for j in range(vsc.grid.Nt):
-        fwd = assemble_step_matrix(ctx, beta, j, adjoint=False)
-        adj = assemble_step_matrix(ctx, beta, j, adjoint=True)
+        fwd = assemble_step_matrix(vsc, beta, j, adjoint=False)
+        adj = assemble_step_matrix(vsc, beta, j, adjoint=True)
         assert np.abs(fwd.T - adj).max() <= 1e-12
 
 
 def test_one_step_pairing(rng):
     vsc = tiny_random(seed=4)
-    ctx = StepContext(vsc)
+    ctx = vsc.step_context
     grid = vsc.grid
     beta = 0.2 + rng.random((grid.Ns, grid.Nt + 1, grid.Nx))
     for j in range(grid.Nt):
@@ -96,9 +86,8 @@ def test_one_step_pairing(rng):
 class TestSensitivity:
     def test_zero_direction_gives_zero(self):
         vsc = tiny_random(seed=5)
-        ctx = StepContext(vsc)
-        st = sp.solve_state(vsc, 0.7, ctx=ctx)
-        z = solve_sensitivity(vsc, 0.7, st, 0.0, ctx=ctx).z.values
+        st = sp.solve_state(vsc, 0.7)
+        z = solve_sensitivity(vsc, st, 0.0).values
         assert np.abs(z).max() == 0.0
 
     def test_matches_state_response_to_newborn_inflow(self):
@@ -106,10 +95,9 @@ class TestSensitivity:
         # the extra birth integral as a newborn immigration term
         grid = Grid3(Ns=8, Nt=8, Nx=4, s_f=1.0, T=1.0, L=1.0)
         vsc = unit_scenario(grid, gamma=1.0, mu=0.2, r=0.5, p0=1.0, k=0.02)
-        ctx = StepContext(vsc)
-        st = sp.solve_state(vsc, 0.0, ctx=ctx)
+        st = sp.solve_state(vsc, 0.0)
         delta = 0.3
-        z = solve_sensitivity(vsc, 0.0, st, delta, ctx=ctx).z.values
+        z = solve_sensitivity(vsc, st, delta).values
 
         c_inflow = (vsc.r_grid * delta * st.p.values).sum(axis=0) * grid.ds
         rates2 = VitalRates(
@@ -125,19 +113,18 @@ class TestSensitivity:
 
     def test_directional_derivative_of_cost(self, rng):
         vsc = smooth_default(20, 20, 10)
-        ctx = StepContext(vsc)
         grid = vsc.grid
         beta = 0.2 + 0.3 * rng.random((grid.Ns, grid.Nt + 1, grid.Nx))
         delta = rng.random(beta.shape) - 0.2
-        st = sp.solve_state(vsc, beta, ctx=ctx)
-        z = solve_sensitivity(vsc, beta, st, delta, ctx=ctx).z.values
+        st = sp.solve_state(vsc, beta)
+        z = solve_sensitivity(vsc, st, delta).values
         w = grid.volume_weights()
         analytic = float((w * z).sum()) \
             + vsc.cost.control_sign * vsc.cost.rho * float((w * beta * delta).sum())
         eps = 1e-5
         j0 = evaluate_cost(st, beta, vsc.cost)
         b1 = beta + eps * delta
-        j1 = evaluate_cost(sp.solve_state(vsc, b1, ctx=ctx), b1, vsc.cost)
+        j1 = evaluate_cost(sp.solve_state(vsc, b1), b1, vsc.cost)
         fd = (j1 - j0) / eps
         assert abs(fd - analytic) <= 1e-3 * abs(analytic)
 
@@ -145,46 +132,43 @@ class TestSensitivity:
 class TestDualityResidual:
     def test_zero_direction(self):
         vsc = tiny_random(seed=6)
-        ctx = StepContext(vsc)
-        st = sp.solve_state(vsc, 0.5, ctx=ctx)
-        adj = solve_adjoint(vsc, 0.5, st, ctx=ctx)
-        assert duality_residual(vsc, 0.5, st, adj, 0.0, ctx=ctx) == 0.0
+        st = sp.solve_state(vsc, 0.5)
+        adj = solve_adjoint(vsc, st)
+        assert duality_residual(vsc, st, adj, 0.0) == 0.0
 
     def test_machine_precision_on_random_rates(self, rng):
         for seed in range(5):
             vsc = tiny_random(seed=seed)
-            ctx = StepContext(vsc)
             grid = vsc.grid
             beta = 0.2 + rng.random((grid.Ns, grid.Nt + 1, grid.Nx))
             delta = rng.standard_normal(beta.shape)
-            st = sp.solve_state(vsc, beta, ctx=ctx)
-            adj = solve_adjoint(vsc, beta, st, ctx=ctx)
-            assert duality_residual(vsc, beta, st, adj, delta, ctx=ctx) < 1e-10
+            st = sp.solve_state(vsc, beta)
+            adj = solve_adjoint(vsc, st)
+            assert duality_residual(vsc, st, adj, delta) < 1e-10
 
     def test_zero_data_gives_zero(self, rng):
         vsc = unit_scenario(gamma=1.0, mu=0.1, f=0.0, C=0.0, p0=0.0, k=0.01)
-        ctx = StepContext(vsc)
-        st = sp.solve_state(vsc, 0.0, ctx=ctx)
-        adj = solve_adjoint(vsc, 0.0, st, ctx=ctx)
+        st = sp.solve_state(vsc, 0.0)
+        adj = solve_adjoint(vsc, st)
         delta = rng.standard_normal((vsc.grid.Ns, vsc.grid.Nt + 1, vsc.grid.Nx))
-        assert duality_residual(vsc, 0.0, st, adj, delta, ctx=ctx) == 0.0
+        assert duality_residual(vsc, st, adj, delta) == 0.0
 
 
-def test_control_mismatch_detected():
+def test_state_from_another_grid_rejected():
     vsc = tiny_random(seed=7)
-    ctx = StepContext(vsc)
-    st = sp.solve_state(vsc, 0.5, ctx=ctx)
-    with pytest.raises(ValueError, match="different control"):
-        solve_adjoint(vsc, 0.6, st, ctx=ctx)
+    st = sp.solve_state(tiny_random(seed=7, Nx=5), 0.5)
+    with pytest.raises(ValueError, match="different grid"):
+        solve_adjoint(vsc, st)
+    with pytest.raises(ValueError, match="different grid"):
+        solve_sensitivity(vsc, st, 0.1)
 
 
 def test_adjoint_bound_stable_under_refinement():
     sups = []
     for n in (10, 20):
         vsc = smooth_default(n, n, 6)
-        ctx = StepContext(vsc)
-        st = sp.solve_state(vsc, 0.4, ctx=ctx)
-        adj = solve_adjoint(vsc, 0.4, st, ctx=ctx)
+        st = sp.solve_state(vsc, 0.4)
+        adj = solve_adjoint(vsc, st)
         sups.append(float(np.abs(adj.phi.values).max()))
         assert np.isfinite(sups[-1])
     assert sups[1] <= 2.0 * sups[0] and sups[0] <= 2.0 * sups[1]
@@ -192,14 +176,13 @@ def test_adjoint_bound_stable_under_refinement():
 
 def test_trace_lipschitz_in_control(rng):
     vsc = smooth_default(10, 10, 6)
-    ctx = StepContext(vsc)
     grid = vsc.grid
     ratios = []
     for _ in range(5):
         b1 = rng.uniform(0.0, 1.0, size=(grid.Ns, grid.Nt + 1, grid.Nx))
         b2 = rng.uniform(0.0, 1.0, size=b1.shape)
-        a1 = solve_adjoint(vsc, b1, sp.solve_state(vsc, b1, ctx=ctx), ctx=ctx)
-        a2 = solve_adjoint(vsc, b2, sp.solve_state(vsc, b2, ctx=ctx), ctx=ctx)
+        a1 = solve_adjoint(vsc, sp.solve_state(vsc, b1))
+        a2 = solve_adjoint(vsc, sp.solve_state(vsc, b2))
         num = np.abs(a1.phi_at_zero.values - a2.phi_at_zero.values).max()
         ratios.append(num / np.abs(b1 - b2).max())
     assert np.isfinite(ratios).all()

@@ -214,6 +214,9 @@ class TestSubcommands:
         ("diffusion_k", float("inf")),
         ("cost.rho", float("inf")),
         ("cost.c", float("inf")),
+        # k*dt/dx^2 overflows or underflows in the diffusion bands
+        ("grid.L", 1e300),
+        ("grid.L", 1e-300),
     ])
     def test_non_finite_inputs_are_usage_errors(self, tmp_path, capsys, key, value):
         # json writes and reads NaN and Infinity, so a scenario file can carry them
@@ -250,15 +253,19 @@ class TestSubcommands:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("args, message", [
-        (["--out", "d"], "--scenario"),
-        (["--scenario", "{scenario}", "--out", "d", "--tol", "-1e-9"], "--tol|fixed_point_tol"),
+        (["optimize", "--out", "d"], "--scenario"),
+        (["optimize", "--scenario", "{scenario}", "--out", "d", "--tol", "-1e-9"],
+         "--tol|fixed_point_tol"),
+        # simulate and adjoint use no random numbers, so they take no seed
+        (["simulate", "--scenario", "{scenario}", "--beta", "0.4", "--out", "d", "--seed", "3"],
+         "unrecognized arguments: --seed 3"),
     ])
     def test_argument_errors_exit_with_usage_code(self, tmp_path, capsys, args, message):
         # argparse exits through SystemExit; where a newer argparse accepts
         # "-1e-9" as a value, validation rejects it and main returns 1
         scenario = _write(tmp_path, MINIMAL)
         try:
-            code = main(["optimize", *(a.format(scenario=scenario) for a in args)])
+            code = main([a.format(scenario=scenario) for a in args])
         except SystemExit as exc:
             code = exc.code
         assert code == 1
@@ -365,13 +372,31 @@ def test_failures_exit_with_one_line(tmp_path, capsys, monkeypatch, case, code, 
     assert "Traceback" not in err
 
 
-def test_import_leaves_scipy_interpolate_unloaded():
+def _run_python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this checkout's package on its path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_numpy_warnings_do_not_reach_stderr(tmp_path):
+    # the horizon overflows the characteristic trace; pytest would capture a
+    # RuntimeWarning in-process, so the command runs in its own interpreter
+    done = _run_python("-m", "sizepop.cli", "simulate",
+                       "--scenario", _write(tmp_path, _with("grid.T", 1e300)),
+                       "--beta", "0.4", "--out", str(tmp_path / "o"))
+    assert done.returncode == 3
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+    assert done.stderr.startswith("numerical failure: ")
+    assert "RuntimeWarning" not in done.stderr
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
     probe = "import sys, sizepop.cli; print(sorted(m for m in sys.modules if 'interpolate' in m))"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
+    done = _run_python("-c", probe)
+    assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
 
 

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import sizepop as sp
+from sizepop import oracles
 from sizepop import rates as rate_lib
 from sizepop.forward import StepContext, _solve_tridiagonal, step_diffusion, total_population
 from sizepop.model import (
@@ -18,8 +22,9 @@ from sizepop.model import (
     control_array,
     validate_scenario,
 )
-from sizepop.presets import mass_balance_preset, random_nonneg_scenario
-from conftest import unit_scenario
+from sizepop.optimizer import optimize
+from sizepop.presets import mass_balance_preset, tiny_random
+from conftest import random_nonneg_scenario, unit_scenario
 
 
 class TestComputeRenewal:
@@ -29,9 +34,8 @@ class TestComputeRenewal:
 
     def newborn(self, vsc, beta, j=3):
         # j = 3 is t = 0.3
-        ctx = StepContext(vsc)
         ones = np.ones((self.GRID.Ns, self.GRID.Nx))
-        return ctx.newborn_value(control_array(vsc, beta), j, ones)
+        return vsc.step_context.newborn_value(control_array(vsc, beta), j, ones)
 
     def test_birth_integral(self):
         vsc = unit_scenario(self.GRID, gamma=1.0, r=0.5, C=0.0)
@@ -50,7 +54,7 @@ class TestComputeRenewal:
         # reach the state, and no transport row reads the newborn column
         gamma = rate_lib.from_preset("linear-in-s", ("size", "time"), {"a": 0.0, "b": 1.0})
         vsc = unit_scenario(self.GRID, gamma=gamma, C=0.3)
-        ctx = StepContext(vsc)
+        ctx = vsc.step_context
         assert not ctx.has_renewal
         assert np.abs(self.newborn(vsc, 1.0)).max() == 0.0
         assert all(t.sum(axis=0)[-1] == 0.0 for t in ctx.transport)
@@ -61,8 +65,7 @@ class TestStepTransportReaction:
 
     @staticmethod
     def step(vsc, p_j, beta, j=0):
-        ctx = StepContext(vsc)
-        return ctx.step(control_array(vsc, beta), j, p_j)[0]
+        return vsc.step_context.step(control_array(vsc, beta), j, p_j)[0]
 
     def test_pure_shift_of_linear_profile(self):
         grid = Grid3(Ns=10, Nt=10, Nx=3, s_f=1.0, T=1.0, L=1.0)
@@ -224,3 +227,41 @@ class TestProperties:
         d1, d2, d3 = diff_norm(32), diff_norm(64), diff_norm(128)
         assert d1 / d2 >= 1.8
         assert d2 / d3 >= 1.8
+
+
+class TestStepContextOwnership:
+    """A validated scenario builds its step operator once and caches it."""
+
+    def test_cached_on_the_scenario(self):
+        vsc = tiny_random(seed=0)
+        assert vsc.step_context is vsc.step_context
+
+    def test_one_build_for_every_solver_on_a_scenario(self, monkeypatch):
+        builds = []
+        build = StepContext.__init__
+
+        def counted(self, vsc):
+            builds.append(vsc)
+            build(self, vsc)
+
+        monkeypatch.setattr(StepContext, "__init__", counted)
+        vsc = tiny_random(seed=0)
+        # the duality oracle builds its own scenario: hand it this one
+        monkeypatch.setattr(oracles.presets, "tiny_random", lambda seed: vsc)
+        optimize(vsc)
+        oracles.gradient_check(vsc, n_directions=2)
+        oracles.mass_budget_residuals(vsc, 0.4)
+        assert oracles.oracle_transpose_duality()["passed"]
+        assert len(builds) == 1 and builds[0] is vsc
+
+    def test_no_reference_cycle_with_the_scenario(self):
+        # reference counting alone must free the pair: a cycle would leave
+        # each scenario's arrays to the cyclic collector
+        gc.disable()
+        try:
+            vsc = tiny_random(seed=0)
+            ctx = weakref.ref(vsc.step_context)
+            del vsc
+            assert ctx() is None
+        finally:
+            gc.enable()

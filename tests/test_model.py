@@ -92,18 +92,6 @@ def test_grid_samples():
     np.testing.assert_allclose(grid.x_points, [0.0, 1.5, 3.0])
 
 
-def test_flatten_unflatten_bijection():
-    grid = Grid3(Ns=3, Nt=4, Nx=5, s_f=1.0, T=1.0, L=1.0)
-    seen = set()
-    for i in range(grid.Ns):
-        for j in range(grid.Nt + 1):
-            for k in range(grid.Nx):
-                flat = grid.flatten_index(i, j, k)
-                assert grid.unflatten_index(flat) == (i, j, k)
-                seen.add(flat)
-    assert seen == set(range(grid.Ns * (grid.Nt + 1) * grid.Nx))
-
-
 def test_field_shape_checked():
     grid = Grid3(Ns=3, Nt=4, Nx=5, s_f=1.0, T=1.0, L=1.0)
     with pytest.raises(ValueError, match="shape"):

@@ -8,7 +8,7 @@ import pytest
 import sizepop as sp
 import sizepop.optimizer as opt_mod
 from sizepop.adjoint import AdjointSolution, solve_adjoint
-from sizepop.forward import StateSolution, StepContext
+from sizepop.forward import StateSolution
 from sizepop.model import CostParams, Field, Grid3, control_array
 from sizepop.optimizer import (
     contraction_diagnostics,
@@ -19,7 +19,7 @@ from sizepop.optimizer import (
     project_F,
 )
 from sizepop.presets import smooth_default, tiny_random
-from conftest import unit_scenario
+from conftest import unit_scenario, with_cost
 
 GRID = Grid3(Ns=4, Nt=5, Nx=4, s_f=1.0, T=1.0, L=1.0)
 
@@ -84,17 +84,16 @@ class TestGradientField:
     def test_control_term_only_when_trace_vanishes(self):
         vsc = unit_scenario(GRID)
         g = gradient_field(_state(GRID, 1.0, 0.7), _adjoint(GRID, 0.0),
-                           vsc.with_cost(rho=2.0, sign_variant="minus"))
+                           with_cost(vsc, rho=2.0, sign_variant="minus"))
         np.testing.assert_allclose(g.values, -2.0 * 0.7)
 
     @pytest.mark.parametrize("variant", ["minus", "plus"])
     def test_pointwise_finite_difference_match(self, rng, variant):
-        vsc = tiny_random(seed=11).with_cost(sign_variant=variant)
-        ctx = StepContext(vsc)
+        vsc = with_cost(tiny_random(seed=11), sign_variant=variant)
         grid = vsc.grid
         beta = 0.3 + 0.2 * rng.random((grid.Ns, grid.Nt + 1, grid.Nx))
-        state = sp.solve_state(vsc, beta, ctx=ctx)
-        adj = solve_adjoint(vsc, beta, state, ctx=ctx)
+        state = sp.solve_state(vsc, beta)
+        adj = solve_adjoint(vsc, state)
         g = gradient_field(state, adj, vsc).values
         w = grid.volume_weights()
         eps = 1e-6
@@ -104,8 +103,8 @@ class TestGradientField:
             k = int(rng.integers(0, grid.Nx))
             bp = beta.copy(); bp[i, j, k] += eps
             bm = beta.copy(); bm[i, j, k] -= eps
-            jp = evaluate_cost(sp.solve_state(vsc, bp, ctx=ctx), bp, vsc.cost)
-            jm = evaluate_cost(sp.solve_state(vsc, bm, ctx=ctx), bm, vsc.cost)
+            jp = evaluate_cost(sp.solve_state(vsc, bp), bp, vsc.cost)
+            jm = evaluate_cost(sp.solve_state(vsc, bm), bm, vsc.cost)
             fd = (jp - jm) / (2 * eps)
             assert abs(g[i, j, k] * w[i, j, k] - fd) <= 1e-6 * max(abs(fd), 1e-12)
 
@@ -115,7 +114,7 @@ class TestGradientField:
         vsc = unit_scenario(GRID, phi_l=0.1, phi_m=0.4)
         beta = 0.4
         g = gradient_field(_state(GRID, 1.0, beta), _adjoint(GRID, -0.2),
-                           vsc.with_cost(rho=1.0, sign_variant="minus"))
+                           with_cost(vsc, rho=1.0, sign_variant="minus"))
         assert (g.values[:, :-1, :] < 0).all()  # descent would need beta > phi_m
 
 
@@ -128,15 +127,15 @@ class TestFixedPointUpdate:
     def test_interior_stationary_value(self):
         # r*p*phi0/(c*rho) = -0.25 pointwise: update is the interior value 0.25
         vsc = unit_scenario(GRID, r=0.5, phi_l=0.1, phi_m=0.4)
-        vsc = vsc.with_cost(rho=1.0, c=1.0, sign_variant="minus")
+        vsc = with_cost(vsc, rho=1.0, c=1.0, sign_variant="minus")
         out = fixed_point_update(_state(GRID, 1.0, 0.2), _adjoint(GRID, -0.5), vsc)
         np.testing.assert_allclose(out.values, 0.25, atol=1e-15)
 
     def test_only_product_c_rho_enters(self):
         vsc = unit_scenario(GRID, r=0.5, phi_l=0.0, phi_m=1.0)
         state, adj = _state(GRID, 0.9, 0.2), _adjoint(GRID, -0.7)
-        out1 = fixed_point_update(state, adj, vsc.with_cost(rho=2.0, c=1.0))
-        out2 = fixed_point_update(state, adj, vsc.with_cost(rho=1.0, c=2.0))
+        out1 = fixed_point_update(state, adj, with_cost(vsc, rho=2.0, c=1.0))
+        out2 = fixed_point_update(state, adj, with_cost(vsc, rho=1.0, c=2.0))
         np.testing.assert_allclose(out1.values, out2.values, atol=1e-15)
 
 
@@ -150,9 +149,8 @@ class TestOptimize:
 
     def test_two_starts_agree(self):
         vsc = smooth_default(10, 10, 6)
-        ctx = StepContext(vsc)
-        r1 = optimize(vsc, beta0=vsc.phi_l_grid, ctx=ctx, compute_diagnostics=False)
-        r2 = optimize(vsc, beta0=vsc.phi_m_grid, ctx=ctx, compute_diagnostics=False)
+        r1 = optimize(vsc, beta0=vsc.phi_l_grid, compute_diagnostics=False)
+        r2 = optimize(vsc, beta0=vsc.phi_m_grid, compute_diagnostics=False)
         assert r1.status == r2.status == "converged"
         assert np.abs(r1.beta_opt.values - r2.beta_opt.values).max() < 1e-6
         assert (r1.beta_opt.values >= vsc.phi_l_grid).all()
@@ -160,19 +158,17 @@ class TestOptimize:
 
     def test_fixed_point_consistency_at_convergence(self):
         vsc = smooth_default(10, 10, 6)
-        ctx = StepContext(vsc)
-        rep = optimize(vsc, ctx=ctx, compute_diagnostics=False)
+        rep = optimize(vsc, compute_diagnostics=False)
         beta = rep.beta_opt.values
-        state = sp.solve_state(vsc, beta, ctx=ctx)
-        adj = solve_adjoint(vsc, beta, state, ctx=ctx)
+        state = sp.solve_state(vsc, beta)
+        adj = solve_adjoint(vsc, state)
         target = fixed_point_update(state, adj, vsc).values
         assert np.abs(beta - target).max() < 10 * vsc.tolerances.fixed_point_tol
 
     def test_relaxed_update_reaches_same_fixed_point(self):
         vsc = smooth_default(8, 8, 4)
-        ctx = StepContext(vsc)
-        full = optimize(vsc, ctx=ctx, compute_diagnostics=False)
-        relaxed = optimize(vsc.with_tolerances(relax_omega=0.5), ctx=ctx,
+        full = optimize(vsc, compute_diagnostics=False)
+        relaxed = optimize(vsc.with_tolerances(relax_omega=0.5),
                            compute_diagnostics=False)
         assert relaxed.status == "converged"
         assert relaxed.iterations > full.iterations  # damping slows the sweep
@@ -214,8 +210,7 @@ class TestContractionDiagnostics:
 
     def test_geometric_residual_decay_under_contraction(self):
         vsc = smooth_default(10, 10, 6, rho=10.0, c=1.0)
-        ctx = StepContext(vsc)
-        rep = optimize(vsc, ctx=ctx)
+        rep = optimize(vsc)
         assert rep.contraction is not None and rep.contraction.ratio < 1.0
         r = rep.update_residuals
         for k in range(3, len(r) - 1):

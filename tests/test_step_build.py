@@ -23,16 +23,15 @@ from sizepop.characteristics import (
     decay_factor,
     trace_curve,
 )
-from sizepop.forward import StepContext
 from sizepop.model import Grid3
 from sizepop.presets import (
     brute_force_instance,
     mass_balance_preset,
     pure_transport,
-    random_nonneg_scenario,
     smooth_default,
     tiny_random,
 )
+from conftest import random_nonneg_scenario
 
 
 def scalar_bisect(f, lo, hi, tol=1e-12):
@@ -154,7 +153,7 @@ SCENARIOS = {
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_build_matches_per_cell_reference(name):
     vsc = SCENARIOS[name]()
-    ctx = StepContext(vsc)
+    ctx = vsc.step_context
     transport, E, Fsrc, _ = reference_build(vsc)
     assert len(ctx.transport) == len(transport)
     for got, (data, indices, indptr) in zip(ctx.transport, transport):

@@ -21,7 +21,7 @@ import pytest
 
 from sizepop import rates as rate_lib
 from sizepop.adjoint import solve_adjoint
-from sizepop.forward import StepContext, solve_state, solve_states
+from sizepop.forward import solve_state, solve_states
 from sizepop.model import Grid3, NumericalError
 from sizepop.optimizer import evaluate_cost, evaluate_costs, gradient_field
 from sizepop.oracles import brute_force_search, gradient_check
@@ -68,7 +68,8 @@ def renewal(vsc, beta, j):
     return vsc.r_grid[:, j, :] * beta[:, j, :] * (vsc.grid.ds / vsc.gamma0_t[j])
 
 
-def reference_state(vsc, ctx, beta):
+def reference_state(vsc, beta):
+    ctx = vsc.step_context
     grid = vsc.grid
     sub, diag, sup = bands(vsc)
     p = np.empty((grid.Ns, grid.Nt + 1, grid.Nx))
@@ -85,7 +86,8 @@ def reference_state(vsc, ctx, beta):
     return p
 
 
-def reference_adjoint(vsc, ctx, beta):
+def reference_adjoint(vsc, beta):
+    ctx = vsc.step_context
     grid = vsc.grid
     sub, diag, sup = bands(vsc)
     c = vsc.cost.c
@@ -126,15 +128,14 @@ SCENARIOS = {
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_step_operator_matches_loop_reference(name):
     vsc = SCENARIOS[name]()
-    ctx = StepContext(vsc)
     grid = vsc.grid
     beta = 0.2 + 0.5 * np.random.default_rng(7).random((grid.Ns, grid.Nt + 1, grid.Nx))
 
-    state = solve_state(vsc, beta, ctx=ctx)
-    assert np.array_equal(state.p.values, reference_state(vsc, ctx, beta))
+    state = solve_state(vsc, beta)
+    assert np.array_equal(state.p.values, reference_state(vsc, beta))
 
-    adj = solve_adjoint(vsc, beta, state, ctx=ctx)
-    phi, phi0 = reference_adjoint(vsc, ctx, beta)
+    adj = solve_adjoint(vsc, state)
+    phi, phi0 = reference_adjoint(vsc, beta)
     for got, want in ((adj.phi.values, phi), (adj.phi_at_zero.values, phi0)):
         assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1e-300)
 
@@ -143,19 +144,18 @@ def test_step_operator_matches_loop_reference(name):
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_batched_march_matches_separate_solves(name, n):
     vsc = SCENARIOS[name]()
-    ctx = StepContext(vsc)
     grid = vsc.grid
     betas = 0.2 + 0.5 * np.random.default_rng(11).random((n, grid.Ns, grid.Nt + 1, grid.Nx))
 
-    p, newborn = solve_states(vsc, betas, ctx=ctx)
+    p, newborn = solve_states(vsc, betas)
     costs = evaluate_costs(grid, p, betas, vsc.cost)
     assert p.shape == (n, grid.Ns, grid.Nt + 1, grid.Nx)
     assert newborn.shape == (n, grid.Nt + 1, grid.Nx)
     for m in range(n):
-        state = solve_state(vsc, betas[m], ctx=ctx)
+        state = solve_state(vsc, betas[m])
         assert np.array_equal(p[m], state.p.values)
         assert np.array_equal(newborn[m], state.newborn_density.values)
-        assert np.array_equal(p[m], reference_state(vsc, ctx, betas[m]))
+        assert np.array_equal(p[m], reference_state(vsc, betas[m]))
         assert costs[m] == evaluate_cost(state, betas[m], vsc.cost)
 
 
@@ -170,7 +170,7 @@ def test_non_finite_batch_member_is_named():
         solve_states(vsc, betas[0])
 
 
-def looped_brute_force_search(vsc, n_levels, ctx):
+def looped_brute_force_search(vsc, n_levels):
     """One state solve per lattice point, strict < keeps the first minimum."""
     grid = vsc.grid
     lo = float(vsc.phi_l_grid.max())
@@ -189,7 +189,7 @@ def looped_brute_force_search(vsc, n_levels, ctx):
     for multi in np.ndindex(*(n_levels,) * n_dof):
         vals = levels[list(multi)]
         b = control(vals)
-        J = evaluate_cost(solve_state(vsc, b, ctx=ctx), b, vsc.cost)
+        J = evaluate_cost(solve_state(vsc, b), b, vsc.cost)
         if J < best_J:
             best_J, best_vals = J, vals
     step = levels[1] - levels[0]
@@ -201,7 +201,7 @@ def looped_brute_force_search(vsc, n_levels, ctx):
             if vals[d] < lo - 1e-12 or vals[d] > hi + 1e-12:
                 continue
             b = control(vals)
-            sens = max(sens, abs(evaluate_cost(solve_state(vsc, b, ctx=ctx), b, vsc.cost) - best_J))
+            sens = max(sens, abs(evaluate_cost(solve_state(vsc, b), b, vsc.cost) - best_J))
     return best_J, best_vals, sens
 
 
@@ -211,9 +211,8 @@ def looped_brute_force_search(vsc, n_levels, ctx):
 ])
 def test_brute_force_search_matches_looped_search(make, n_levels):
     vsc = make()
-    ctx = StepContext(vsc)
-    best_J, best_vals, sens = brute_force_search(vsc, n_levels=n_levels, ctx=ctx)
-    ref_J, ref_vals, ref_sens = looped_brute_force_search(vsc, n_levels, ctx)
+    best_J, best_vals, sens = brute_force_search(vsc, n_levels=n_levels)
+    ref_J, ref_vals, ref_sens = looped_brute_force_search(vsc, n_levels)
     assert best_J == ref_J
     assert np.array_equal(best_vals, ref_vals)
     assert sens == ref_sens
@@ -221,17 +220,16 @@ def test_brute_force_search_matches_looped_search(make, n_levels):
 
 def test_gradient_check_matches_looped_differences():
     vsc = smooth_default(12, 12, 6, seed=3)
-    ctx = StepContext(vsc)
-    rows = gradient_check(vsc, n_directions=4, seed=5, ctx=ctx)
+    rows = gradient_check(vsc, n_directions=4, seed=5)
     rng = np.random.default_rng(5)
     beta = vsc.phi_l_grid + 0.35 * (vsc.phi_m_grid - vsc.phi_l_grid)
-    state = solve_state(vsc, beta, ctx=ctx)
-    g = gradient_field(state, solve_adjoint(vsc, beta, state, ctx=ctx), vsc).values
+    state = solve_state(vsc, beta)
+    g = gradient_field(state, solve_adjoint(vsc, state), vsc).values
     eps = 1e-6 * max(float(np.abs(beta).max()), 1.0)
     for row in rows:
         delta = rng.standard_normal(beta.shape)
         bp, bm = beta + eps * delta, beta - eps * delta
-        jp = evaluate_cost(solve_state(vsc, bp, ctx=ctx), bp, vsc.cost)
-        jm = evaluate_cost(solve_state(vsc, bm, ctx=ctx), bm, vsc.cost)
+        jp = evaluate_cost(solve_state(vsc, bp), bp, vsc.cost)
+        jm = evaluate_cost(solve_state(vsc, bm), bm, vsc.cost)
         assert row["fd"] == (jp - jm) / (2.0 * eps)
         assert row["analytic"] == float((vsc.grid.volume_weights() * g * delta).sum())
