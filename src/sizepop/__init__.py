@@ -7,7 +7,6 @@ from .adjoint import (
     solve_adjoint,
     solve_sensitivity,
 )
-from .characteristics import decay_factor
 from .forward import (
     StateSolution,
     StepContext,

@@ -1,12 +1,11 @@
-"""Growth characteristics: curve tracing, the crossing-time bisection, and
-the exponential decay factor from the size divergence of the growth rate.
+"""Growth characteristics: curve tracing with classical RK4 and the
+crossing-time bisection.
 
-Curves solve ds/dt = gamma(s, t) with classical RK4, stepping on a node set
-anchored to multiples of the grid time step.  Anchoring makes the quadrature
-for the decay factor exactly additive over adjacent grid-aligned intervals
-and makes composed traces reuse bit-identical leg values.  The growth rate is
-extended constant outside [0, s_f]; in the extension region the decay
-integrand is zero because the extended rate no longer varies with size.
+Curves solve ds/dt = gamma(s, t) with RK4_SUBSTEPS classical RK4 steps per
+leg between node times.  The growth rate is extended constant outside
+[0, s_f]; in the extension region the size divergence of the rate, which
+the decay factor integrates, is zero because the extended rate no longer
+varies with size.
 
 The tracer takes node times per curve as well as shared ones: an array of
 times that broadcasts against the starting sizes gives every curve its own
@@ -17,16 +16,12 @@ advances all its brackets in lockstep, one vectorized RK4 leg per halving.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .model import Grid3
 from .rates import RateField
 
 RK4_SUBSTEPS = 4  # substeps per grid-dt leg; RK4 step is always <= dt
-
-_DEDUP = 1e-13
 
 
 class RootBracketError(RuntimeError):
@@ -60,27 +55,6 @@ def _rk4_leg(gamma: RateField, grid: Grid3, t0, s0, t1):
         s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t + h
     return s if s.ndim else float(s)
-
-
-def _leg_times(lo: float, hi: float, dt: float, extra=()) -> np.ndarray:
-    """Breakpoints of [lo, hi]: the endpoints, every multiple of dt strictly
-    inside, and any extra interior points (deduplicated)."""
-    pts = [lo, hi]
-    m0 = math.floor(lo / dt) + 1
-    m1 = math.ceil(hi / dt) - 1
-    for m in range(m0, m1 + 1):
-        pts.append(m * dt)
-    for e in extra:
-        if lo < e < hi:
-            pts.append(e)
-    pts = sorted(pts)
-    out = [pts[0]]
-    scale = max(1.0, abs(lo), abs(hi))
-    for p in pts[1:]:
-        if p - out[-1] > _DEDUP * scale:
-            out.append(p)
-    out[-1] = hi
-    return np.asarray(out)
 
 
 def trace_curve(gamma: RateField, grid: Grid3, t0, s0, times) -> np.ndarray:
@@ -143,46 +117,3 @@ def _bisect(f, lo, hi, tol: float = 1e-12) -> np.ndarray:
         run = run[~zero]
     return root
 
-
-def decay_factor(t_from: float, t_to: float, t: float, s: float,
-                 gamma: RateField, grid: Grid3) -> float:
-    """exp(-integral of d(gamma)/ds along the curve through (t, s)).
-
-    The integral runs over [t_from, t_to] and uses the composite trapezoid
-    rule on the RK4 node times.  Nodes are anchored to grid-dt multiples, so
-    the factor is exactly multiplicative across adjacent grid-aligned
-    intervals.
-    """
-    if t_to < t_from:
-        raise ValueError("t_to must not precede t_from")
-    if t_to == t_from:
-        return 1.0
-    lo = min(t_from, t)
-    hi = max(t_to, t)
-    breaks = _leg_times(lo, hi, grid.dt, extra=(t, t_from, t_to))
-    # refine each leg into the RK4 substep nodes
-    nodes = [breaks[0]]
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        nodes.extend(a + (b - a) * (m + 1) / RK4_SUBSTEPS for m in range(RK4_SUBSTEPS))
-    nodes = np.asarray(nodes)
-
-    # trace from the anchor outwards so shared nodes get identical values
-    anchor_idx = int(np.argmin(np.abs(nodes - t)))
-    svals = np.empty_like(nodes)
-    svals[anchor_idx] = s
-    down = nodes[: anchor_idx + 1][::-1]
-    up = nodes[anchor_idx:]
-    if len(down) > 1:
-        svals[: anchor_idx + 1] = trace_curve(gamma, grid, t, s, down)[::-1]
-    if len(up) > 1:
-        svals[anchor_idx:] = trace_curve(gamma, grid, t, s, up)
-
-    inside = (nodes >= t_from - _DEDUP) & (nodes <= t_to + _DEDUP)
-    tq = nodes[inside]
-    sq = svals[inside]
-    in_domain = (sq >= 0.0) & (sq <= grid.s_f)
-    g = np.zeros_like(sq)
-    if in_domain.any():
-        g[in_domain] = gamma.ds(s=sq[in_domain], t=tq[in_domain])
-    integral = float(np.trapezoid(g, tq))
-    return math.exp(-integral)

@@ -25,7 +25,8 @@ sort the cells into the stencil cases: interpolation between two cells, a
 blend of the newborn value with the first cell, constant extrapolation of
 the first cell (growth cases c/d), or a cell whose characteristic entered
 through s = 0 during the step.  The crossing times of the entering cells
-are bisected in lockstep.  The reaction rates are evaluated once per step
+are bisected in lockstep, and one more trace over their own substep nodes
+gives their decay factors.  The reaction rates are evaluated once per step
 at the midpoints, which keeps the temporaries at (Ns, Nx).  Each cell's
 arithmetic is that of a per-cell build, so the arrays are bit-identical to
 one.
@@ -53,13 +54,14 @@ one phi field per member at once, 13 MB each at 160x160x64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 from scipy.sparse import csr_array
 
-from .characteristics import RK4_SUBSTEPS, _bisect, _rk4_leg, decay_factor, trace_curve
+from .characteristics import RK4_SUBSTEPS, _bisect, _rk4_leg, trace_curve
 from .model import Field, Grid3, NumericalError, ValidatedScenario, control_array
 from .rates import RateField
 
@@ -96,6 +98,20 @@ def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
     return x.T.reshape(rhs.shape)
 
 
+def _divergence_integral(gamma: RateField, grid: Grid3, svals: np.ndarray,
+                         node_t: np.ndarray) -> np.ndarray:
+    """Trapezoid integral of d(gamma)/ds over the leading (node) axis of
+    traced curve values `svals` at the node times `node_t`, which broadcast
+    against them.  Nodes outside [0, s_f] contribute zero: the extended rate
+    no longer varies with size there."""
+    in_domain = (svals >= 0.0) & (svals <= grid.s_f)
+    dsg = np.zeros_like(svals)
+    if in_domain.any():
+        dsg[in_domain] = gamma.ds(
+            s=svals[in_domain], t=np.broadcast_to(node_t, svals.shape)[in_domain])
+    return np.trapezoid(dsg, node_t, axis=0)
+
+
 def _entering_cells(gamma: RateField, grid: Grid3, jj: np.ndarray,
                     ii: np.ndarray) -> tuple[np.ndarray, ...]:
     """Cells (j, i) whose characteristic entered through s = 0 during step j.
@@ -104,20 +120,18 @@ def _entering_cells(gamma: RateField, grid: Grid3, jj: np.ndarray,
     factor over [t_c, t_{j+1}], and its reaction acts over that interval,
     evaluated at its midpoint.  The crossing times t_c of all the cells, over
     all steps, are bisected in lockstep on the backward RK4 leg from
-    t_{j+1}.  Returns t_c, the decay factors and the midpoints (t, s).
-
-    The decay factor stays one decay_factor call per cell.  Its node set
-    comes from _leg_times, whose breakpoints (grid multiples, deduplication)
-    may differ from cell to cell, and its trapezoid sums one cell's nodes as
-    a 1-D array; a stacked, column-wise trapezoid would sum in another order
-    and move the factor in the last bit.  Entering cells are few, about
-    gamma*dt/ds per step.
+    t_{j+1}; one backward trace over each cell's RK4 substep nodes of
+    [t_c, t_{j+1}] then gives the decay factors.  Returns t_c, the decay
+    factors and the midpoints (t, s).
     """
     t_hi = grid.t_points[jj + 1]
     s = grid.s_centers[ii]
     t_c = _bisect(lambda idx, eta: _rk4_leg(gamma, grid, t_hi[idx], s[idx], eta),
                   grid.t_points[jj], t_hi)
-    q = np.array([decay_factor(a, b, b, c, gamma, grid) for a, b, c in zip(t_c, t_hi, s)])
+    node_t = t_c + (t_hi - t_c) * np.arange(RK4_SUBSTEPS + 1)[:, None] / RK4_SUBSTEPS
+    svals = trace_curve(gamma, grid, node_t[-1], s, node_t[::-1])[::-1]
+    # math.exp, not np.exp: numpy's vectorized exp differs in the last bit on some cells
+    q = np.array([math.exp(-v) for v in _divergence_integral(gamma, grid, svals, node_t)])
     t_mid = 0.5 * (t_c + t_hi)
     s_mid = np.clip(_rk4_leg(gamma, grid, t_hi, s, t_mid), 0.0, grid.s_f)
     return t_c, q, t_mid, s_mid
@@ -162,12 +176,7 @@ class StepContext:
         node_t = (t1 + (t0 - t1) * np.arange(n_sub + 1)[:, None] / n_sub)[:, :, None]
         svals = trace_curve(gamma, grid, node_t[0], s, node_t)
         feet_raw = svals[-1]
-        in_domain = (svals >= 0.0) & (svals <= grid.s_f)
-        dsg = np.zeros_like(svals)
-        if in_domain.any():
-            dsg[in_domain] = gamma.ds(
-                s=svals[in_domain], t=np.broadcast_to(node_t, svals.shape)[in_domain])
-        q = np.exp(np.trapezoid(dsg, node_t, axis=0))  # node_t descends: sign flips
+        q = np.exp(_divergence_integral(gamma, grid, svals, node_t))  # node_t descends: sign flips
 
         # stencil cases over (Nt, Ns); cells entering through s = 0 during the
         # step are bisected below, the others interpolate at the clamped foot

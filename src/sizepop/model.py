@@ -17,8 +17,6 @@ import numpy as np
 from . import rates as rate_lib
 from .rates import RateField
 
-GROWTH_CASES = ("a", "b", "c", "d")
-
 # Cells in one (size, time, space) field: 16 GiB of float64.  A larger grid
 # is refused before anything is allocated for it.
 MAX_GRID_CELLS = 2**31
@@ -437,6 +435,13 @@ def validate_scenario(sc: Scenario) -> ValidatedScenario:
         if not (np.isfinite(number) and number > 0):
             violations.append(f"diffusion invariant violated: diffusion_k*dt/dx^2 finite and "
                               f"> 0, with dx = grid.L/(Nx-1) (got {float(number)})")
+        elif 1.0 + 2.0 * number == 2.0 * number:
+            # the identity is lost in I - k*dt*Lxx, which rounds to the
+            # singular Neumann Laplacian (grid.T near 1e300 does this)
+            violations.append(f"diffusion invariant violated: 1 + 2*diffusion_k*dt/dx^2 rounds "
+                              f"to 2*diffusion_k*dt/dx^2, which makes the diffusion matrix "
+                              f"singular, with dt = grid.T/Nt and dx = grid.L/(Nx-1) "
+                              f"(got {float(number)})")
     if not sc.cost.rho > 0:
         violations.append(f"cost invariant violated: rho > 0 (got {sc.cost.rho})")
     if not sc.cost.c > 0:

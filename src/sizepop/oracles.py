@@ -19,16 +19,6 @@ from .model import Field, Grid3, ValidatedScenario
 from .adjoint import duality_residual, solve_adjoint
 from .optimizer import evaluate_costs, gradient_field, optimize
 
-ORACLE_NAMES = (
-    "heat_mode_decay",
-    "pure_transport",
-    "mass_balance",
-    "transpose_duality",
-    "fd_gradient",
-    "brute_force_optimum",
-)
-
-
 def _result(name, passed, measured, tolerance, detail=""):
     return {
         "name": name,
@@ -282,6 +272,19 @@ def oracle_brute_force_optimum() -> dict:
                    f"optimize J - exhaustive min J = {gap:.3e}, one-step sensitivity {sens:.3e}")
 
 
+# name -> oracle called with (seed, corrupt_adjoint_sign), in report order
+ORACLES = {
+    "heat_mode_decay": lambda seed, corrupt: oracle_heat_mode_decay(),
+    "pure_transport": lambda seed, corrupt: oracle_pure_transport(),
+    "mass_balance": lambda seed, corrupt: oracle_mass_balance(),
+    "transpose_duality": lambda seed, corrupt: oracle_transpose_duality(
+        seed=seed, corrupt_adjoint_sign=corrupt),
+    "fd_gradient": lambda seed, corrupt: oracle_fd_gradient(seed=seed),
+    "brute_force_optimum": lambda seed, corrupt: oracle_brute_force_optimum(),
+}
+ORACLE_NAMES = tuple(ORACLES)
+
+
 def run_oracles(names=None, seed: int = 0, corrupt_adjoint_sign: bool = False) -> dict:
     """Run the oracle suite and return a machine-readable report."""
     aliases = {"gradcheck": "fd_gradient"}
@@ -289,21 +292,7 @@ def run_oracles(names=None, seed: int = 0, corrupt_adjoint_sign: bool = False) -
     unknown = set(selected) - set(ORACLE_NAMES)
     if unknown:
         raise ValueError(f"unknown oracle(s) {sorted(unknown)}; available: {ORACLE_NAMES}")
-    results = []
-    for name in selected:
-        if name == "heat_mode_decay":
-            results.append(oracle_heat_mode_decay())
-        elif name == "pure_transport":
-            results.append(oracle_pure_transport())
-        elif name == "mass_balance":
-            results.append(oracle_mass_balance())
-        elif name == "transpose_duality":
-            results.append(oracle_transpose_duality(seed=seed,
-                                                    corrupt_adjoint_sign=corrupt_adjoint_sign))
-        elif name == "fd_gradient":
-            results.append(oracle_fd_gradient(seed=seed))
-        elif name == "brute_force_optimum":
-            results.append(oracle_brute_force_optimum())
+    results = [ORACLES[name](seed, corrupt_adjoint_sign) for name in selected]
     return {
         "seed": seed,
         "oracles": results,

@@ -14,12 +14,10 @@ and by second-order finite differences for tables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-AXES_ORDER = ("size", "time", "space")
 
 PRESET_NAMES = (
     "constant",
@@ -53,7 +51,6 @@ class RateField:
     axes: tuple[str, ...]
     fn: Callable
     d_ds: Callable | None = None
-    spec: dict = field(default_factory=dict)
 
     def __call__(self, s=None, t=None, x=None):
         args = _broadcast(self.axes, s, t, x)
@@ -76,13 +73,12 @@ def constant(value: float, axes: tuple[str, ...]) -> RateField:
         axes=axes,
         fn=lambda *args: np.full_like(args[0], v) if args else v,
         d_ds=(lambda *args: np.zeros_like(args[0])) if "size" in axes else None,
-        spec={"preset": "constant", "value": v},
     )
 
 
 def from_callable(fn: Callable, axes: tuple[str, ...], d_ds: Callable | None = None) -> RateField:
     """Wrap an arbitrary callable of the active coordinates (API use only)."""
-    return RateField(axes=axes, fn=fn, d_ds=d_ds, spec={"callable": getattr(fn, "__name__", "fn")})
+    return RateField(axes=axes, fn=fn, d_ds=d_ds)
 
 
 def from_preset(name: str, axes: tuple[str, ...], params: dict, x_length: float = None) -> RateField:
@@ -113,7 +109,6 @@ def from_preset(name: str, axes: tuple[str, ...], params: dict, x_length: float 
             axes=axes,
             fn=lambda *args: a + b * args[idx],
             d_ds=lambda *args: np.full_like(args[0], b),
-            spec={"preset": name, "a": a, "b": b},
         )
     if name == "linear-in-t":
         if "time" not in axes:
@@ -125,7 +120,6 @@ def from_preset(name: str, axes: tuple[str, ...], params: dict, x_length: float 
             axes=axes,
             fn=lambda *args: a + b * args[idx],
             d_ds=(lambda *args: np.zeros_like(args[0])) if "size" in axes else None,
-            spec={"preset": name, "a": a, "b": b},
         )
     if name == "separable-product":
         a = float(p.pop("a", 1.0))
@@ -154,8 +148,7 @@ def from_preset(name: str, axes: tuple[str, ...], params: dict, x_length: float 
                         out = out * (1.0 + coeff * args[axes.index(ax)])
                 return out
 
-        return RateField(axes=axes, fn=fn, d_ds=d_ds,
-                         spec={"preset": name, "a": a, "bs": bs, "bt": bt, "bx": bx})
+        return RateField(axes=axes, fn=fn, d_ds=d_ds)
     if name == "cosine-mode-in-x":
         if "space" not in axes:
             raise RateSpecError("cosine-mode-in-x preset on a rate without a space axis")
@@ -174,7 +167,6 @@ def from_preset(name: str, axes: tuple[str, ...], params: dict, x_length: float 
             axes=axes,
             fn=lambda *args: a + b * np.cos(w * args[idx]),
             d_ds=(lambda *args: np.zeros_like(args[0])) if "size" in axes else None,
-            spec={"preset": name, "a": a, "b": b, "mode": mode},
         )
     raise RateSpecError(f"unknown preset {name!r}; catalog is {PRESET_NAMES}")
 
@@ -230,5 +222,4 @@ def from_table(values: np.ndarray, axes: tuple[str, ...], coords: list[np.ndarra
     if "size" in axes:
         i = axes.index("size")
         d_ds = _multilinear(coords, np.gradient(values, coords[i], axis=i, edge_order=2))
-    return RateField(axes=axes, fn=_multilinear(coords, values), d_ds=d_ds,
-                     spec={"table": True, "shape": values.shape})
+    return RateField(axes=axes, fn=_multilinear(coords, values), d_ds=d_ds)

@@ -49,7 +49,6 @@ RATE_AXES = {
     "p0": ("size", "space"),
     "phi_l": ("size", "time", "space"),
     "phi_m": ("size", "time", "space"),
-    "beta": ("size", "time", "space"),
 }
 
 _GRID_KEYS = {"Ns", "Nt", "Nx", "s_f", "T", "L"}

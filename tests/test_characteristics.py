@@ -1,5 +1,5 @@
-"""Growth-curve machinery: tracing, case classification, decay factors, and
-their structural properties."""
+"""Growth-curve machinery: tracing, case classification, the decay factor of
+cells entering through s = 0, and structural properties of the curves."""
 
 from __future__ import annotations
 
@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from sizepop import rates as rate_lib
-from sizepop.characteristics import decay_factor, trace_curve
+from sizepop.characteristics import trace_curve
 from sizepop.model import Grid3
+from sizepop.presets import brute_force_instance
 from conftest import unit_scenario
 
 GRID = Grid3(Ns=10, Nt=20, Nx=3, s_f=1.0, T=1.0, L=1.0)
@@ -70,16 +71,41 @@ class TestIntegrate:
         assert back == pytest.approx(0.2, abs=1e-10)
 
 
-class TestDecayFactor:
+class TestEnteringDecay:
+    """Decay factors of the cells whose characteristic entered through s = 0
+    during their step, read from StepContext's transport rows: the two
+    interpolation weights are zero and the newborn weight is the factor."""
+
+    @staticmethod
+    def weights(vsc):
+        """(lo, hi, newborn) transport weights, each of shape (Nt, Ns)."""
+        w = np.stack([t.data.reshape(-1, 3) for t in vsc.step_context.transport])
+        return w[..., 0], w[..., 1], w[..., 2]
+
     def test_size_independent_growth_gives_one(self):
-        assert decay_factor(0.1, 0.9, 0.9, 0.4, GAMMA_CONST, GRID) == pytest.approx(1.0, abs=1e-14)
+        vsc = brute_force_instance()  # gamma = 1
+        grid = vsc.grid
+        lo, hi, newborn = self.weights(vsc)
+        entering = np.broadcast_to(grid.s_centers < grid.dt, lo.shape)
+        assert entering.any()
+        assert np.all(lo[entering] == 0.0) and np.all(hi[entering] == 0.0)
+        assert np.all(newborn[entering] == 1.0)
 
-    def test_constant_divergence(self):
-        got = decay_factor(0.1, 0.8, 0.8, 0.3, GAMMA_LIN_S, GRID)
-        assert got == pytest.approx(np.exp(-0.7), abs=1e-12)
-
-    def test_empty_interval_gives_one(self):
-        assert decay_factor(0.4, 0.4, 0.4, 0.3, GAMMA_LOGISTIC, GRID) == 1.0
+    @pytest.mark.parametrize("ns, nt", [(10, 10), (20, 16), (40, 20), (30, 12)])
+    def test_linear_growth_matches_closed_form(self, ns, nt):
+        # gamma = a + b*s: s + a/b grows like exp(b*t), so the curve through
+        # (t_{j+1}, s_i) meets s = 0 at t_c and the divergence b is constant
+        a, b = 1.0, 0.5
+        grid = Grid3(Ns=ns, Nt=nt, Nx=3, s_f=1.0, T=1.0, L=1.0)
+        gamma = rate_lib.from_preset("linear-in-s", ("size", "time"), {"a": a, "b": b})
+        lo, hi, newborn = self.weights(unit_scenario(grid, gamma=gamma))
+        t1 = grid.t_points[1:, None]
+        t_c = t1 + np.log((a / b) / (grid.s_centers + a / b)) / b
+        entering = t_c > grid.t_points[:-1, None]
+        assert entering.any()
+        assert np.all(lo[entering] == 0.0) and np.all(hi[entering] == 0.0)
+        want = np.exp(-b * (t1 - t_c))[entering]
+        assert np.allclose(newborn[entering], want, rtol=1e-9, atol=0.0)
 
 
 def test_characteristic_point_identity_and_monotonicity():
@@ -111,16 +137,3 @@ class TestProperties:
                 checked += 1
                 comp = size_at(gamma, t1, size_at(gamma, t0, s0, t1), t2)
                 assert comp == pytest.approx(curve[-1], abs=1e-9)
-
-    def test_decay_positive_and_multiplicative(self, rng):
-        # adjacent grid-aligned intervals compose exactly
-        for gamma in self.GAMMAS:
-            for _ in range(10):
-                j0, j1, j2 = np.sort(rng.choice(GRID.Nt + 1, size=3, replace=False))
-                ta, tb, tc = (GRID.t_points[j] for j in (j0, j1, j2))
-                s = rng.uniform(0.1, 0.9)
-                q_ab = decay_factor(ta, tb, tc, s, gamma, GRID)
-                q_bc = decay_factor(tb, tc, tc, s, gamma, GRID)
-                q_ac = decay_factor(ta, tc, tc, s, gamma, GRID)
-                assert q_ab > 0 and q_bc > 0 and q_ac > 0
-                assert q_ab * q_bc == pytest.approx(q_ac, abs=1e-10)

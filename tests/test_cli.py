@@ -217,6 +217,8 @@ class TestSubcommands:
         # k*dt/dx^2 overflows or underflows in the diffusion bands
         ("grid.L", 1e300),
         ("grid.L", 1e-300),
+        # 1 + 2*k*dt/dx^2 rounds to 2*k*dt/dx^2: a singular diffusion matrix
+        ("grid.T", 1e300),
     ])
     def test_non_finite_inputs_are_usage_errors(self, tmp_path, capsys, key, value):
         # json writes and reads NaN and Infinity, so a scenario file can carry them
@@ -382,10 +384,13 @@ def _run_python(*args) -> subprocess.CompletedProcess:
 
 
 def test_numpy_warnings_do_not_reach_stderr(tmp_path):
-    # the horizon overflows the characteristic trace; pytest would capture a
-    # RuntimeWarning in-process, so the command runs in its own interpreter
+    # a tiny growth rate and a huge initial density overflow the transport
+    # step; pytest would capture a RuntimeWarning in-process, so the command
+    # runs in its own interpreter
+    doc = _with("rates.gamma", 1e-300)
+    doc["rates"]["p0"] = 1e300
     done = _run_python("-m", "sizepop.cli", "simulate",
-                       "--scenario", _write(tmp_path, _with("grid.T", 1e300)),
+                       "--scenario", _write(tmp_path, doc),
                        "--beta", "0.4", "--out", str(tmp_path / "o"))
     assert done.returncode == 3
     assert len(done.stderr.splitlines()) == 1, done.stderr

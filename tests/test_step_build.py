@@ -3,13 +3,15 @@
 StepContext traces the characteristic nodes of every time step in one call,
 sorts the cells into stencil cases with masks over (Nt, Ns) and bisects the
 crossing times of all entering cells in lockstep.  The reference below
-builds the same arrays the way the solver used to: one trace per step, one
-Python branch per cell and one scalar bisection per entering cell.  The
-arithmetic of every cell is the same, so the transport matrices, E and Fsrc
-must agree bit for bit.
+builds the same arrays one step at a time: one trace per step, one Python
+branch per cell, and one scalar bisection and one node-by-node decay factor
+per entering cell.  The arithmetic of every cell is the same, so the
+transport matrices, E and Fsrc must agree bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -19,8 +21,6 @@ from sizepop.characteristics import (
     RK4_SUBSTEPS,
     RootBracketError,
     _bisect,
-    _leg_times,
-    decay_factor,
     trace_curve,
 )
 from sizepop.model import Grid3
@@ -58,10 +58,16 @@ def scalar_bisect(f, lo, hi, tol=1e-12):
 def trace_raw(gamma, grid, t0, s0, t_query):
     if t_query == t0:
         return s0
-    times = _leg_times(min(t0, t_query), max(t0, t_query), grid.dt)
-    if t_query < t0:
-        times = times[::-1]
-    return float(trace_curve(gamma, grid, t0, s0, times)[-1])
+    return float(trace_curve(gamma, grid, t0, s0, [t0, t_query])[-1])
+
+
+def entering_decay(gamma, grid, t_c, t1, s):
+    """Decay factor over [t_c, t1] along the curve through (t1, s), node by node."""
+    nodes = [t_c + (t1 - t_c) * m / RK4_SUBSTEPS for m in range(RK4_SUBSTEPS + 1)]
+    sizes = trace_curve(gamma, grid, nodes[-1], s, nodes[::-1])[::-1]
+    g = [float(gamma.ds(s=sz, t=tn)) if 0.0 <= sz <= grid.s_f else 0.0
+         for sz, tn in zip(sizes, nodes)]
+    return math.exp(-np.trapezoid(g, nodes))
 
 
 def reference_build(vsc):
@@ -106,7 +112,7 @@ def reference_build(vsc):
             if foot_raw < 0.0 and has_renewal:
                 cases["entering"] += 1
                 t_c = scalar_bisect(lambda eta: trace_raw(gamma, grid, t1, s[i], eta), t0, t1)
-                q = decay_factor(t_c, t1, t1, s[i], gamma, grid)
+                q = entering_decay(gamma, grid, t_c, t1, s[i])
                 bnode_w[i] = q
                 dt_eff[i] = t1 - t_c
                 t_mid[i] = 0.5 * (t_c + t1)
