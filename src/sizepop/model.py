@@ -263,31 +263,29 @@ class GrowthCase:
 
 @dataclass(frozen=True)
 class ValidatedScenario:
-    """Scenario with every invariant checked and all rates sampled on-grid.
+    """Scenario with every invariant checked and the solvers' inputs sampled
+    on-grid.
 
-    Grid arrays are shaped (Ns, Nt+1, Nx) for (s,t,x) rates, (Nt+1,) for the
-    boundary growth traces, (Nt+1, Nx) for newborn immigration and (Ns, Nx)
-    for the initial density.  Immutable; safe to share across runs.  The
-    step operator of the forward and adjoint marches is built once, on first
-    use of `step_context`, and cached on the instance.
+    Holds only the arrays a solver reads: the female ratio and the control
+    bounds shaped (Ns, Nt+1, Nx), the growth trace at s = 0 shaped (Nt+1,),
+    newborn immigration (Nt+1, Nx) and the initial density (Ns, Nx).  The
+    other rates are sampled and checked at validation, then dropped; read
+    them from `rates`.  Immutable; safe to share across runs.  The step
+    operator of the forward and adjoint marches is built once, on first use
+    of `step_context`, and cached on the instance.
     """
 
     scenario: Scenario
     growth_case: GrowthCase
-    gamma_grid: np.ndarray
     gamma0_t: np.ndarray
-    gamma_sf_t: np.ndarray
-    mu_grid: np.ndarray
     r_grid: np.ndarray
-    f_grid: np.ndarray
     C_grid: np.ndarray
     p0_grid: np.ndarray
     phi_l_grid: np.ndarray
     phi_m_grid: np.ndarray
 
     def __post_init__(self):
-        for name in ("gamma_grid", "gamma0_t", "gamma_sf_t", "mu_grid", "r_grid",
-                     "f_grid", "C_grid", "p0_grid", "phi_l_grid", "phi_m_grid"):
+        for name in ("gamma0_t", "r_grid", "C_grid", "p0_grid", "phi_l_grid", "phi_m_grid"):
             arr = np.ascontiguousarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -303,10 +301,6 @@ class ValidatedScenario:
     @property
     def k(self) -> float:
         return self.scenario.k
-
-    @property
-    def bounds(self) -> ControlBounds:
-        return self.scenario.bounds
 
     @property
     def cost(self) -> CostParams:
@@ -342,15 +336,17 @@ def _tolerance_violations(tol: Tolerances) -> list[str]:
         ("fixed_point_tol > 0", tol.fixed_point_tol > 0, tol.fixed_point_tol),
         ("max_iters >= 1", tol.max_iters >= 1, tol.max_iters),
         ("relax_omega in (0,1]", 0 < tol.relax_omega <= 1, tol.relax_omega),
+        # numpy's generators refuse a negative seed
+        ("seed >= 0", tol.seed >= 0, tol.seed),
     )
     return [f"tolerance invariant violated: {rule} (got {value})"
             for rule, ok, value in checks if not ok]
 
 
-def classify_growth_case_values(gamma0_t: np.ndarray, gamma_sf_t: np.ndarray) -> GrowthCase:
+def classify_growth_case_values(gamma0_t: np.ndarray, gamma_end_t: np.ndarray) -> GrowthCase:
     """Classify from the boundary traces; the pattern must not change in time."""
     pos0 = gamma0_t > 0.0
-    posf = gamma_sf_t > 0.0
+    posf = gamma_end_t > 0.0
     if pos0.any() != pos0.all() or posf.any() != posf.all():
         raise ScenarioValidationError(["growth case not uniform in time"])
     tag = {(True, True): "a", (True, False): "b", (False, True): "c", (False, False): "d"}[
@@ -360,10 +356,10 @@ def classify_growth_case_values(gamma0_t: np.ndarray, gamma_sf_t: np.ndarray) ->
 
 
 def validate_scenario(sc: Scenario) -> ValidatedScenario:
-    """Check every model invariant and resample all rates onto the grid.
+    """Check every model invariant on the grid samples of every rate.
 
     Violations are collected and reported together, each named after the
-    assumption it breaks.
+    assumption it breaks.  Only the samples a solver reads are kept.
     """
     grid = sc.grid
     violations = grid.validate()
@@ -371,33 +367,26 @@ def validate_scenario(sc: Scenario) -> ValidatedScenario:
         raise ScenarioValidationError(violations)
 
     t = grid.t_points
-    gamma_grid = sc.rates.gamma(s=grid.s_centers[:, None], t=t[None, :])
+    gamma_samples = sc.rates.gamma(s=grid.s_centers[:, None], t=t[None, :])
     gamma0_t = sc.rates.gamma(s=np.zeros_like(t), t=t)
-    gamma_sf_t = sc.rates.gamma(s=np.full_like(t, grid.s_f), t=t)
+    gamma_end_t = sc.rates.gamma(s=np.full_like(t, grid.s_f), t=t)
 
-    def grid3(rate):
-        return rate(
-            s=grid.s_centers[:, None, None],
-            t=t[None, :, None],
-            x=grid.x_points[None, None, :],
-        )
-
-    mu_grid = grid3(sc.rates.mu)
-    r_grid = grid3(sc.rates.r)
-    f_grid = grid3(sc.rates.f)
+    mu_samples = _grid_eval_full(sc.rates.mu, grid)
+    r_grid = _grid_eval_full(sc.rates.r, grid)
+    f_samples = _grid_eval_full(sc.rates.f, grid)
     C_grid = sc.rates.C(t=t[:, None], x=grid.x_points[None, :])
     p0_grid = sc.rates.p0(s=grid.s_centers[:, None], x=grid.x_points[None, :])
-    phi_l_grid = grid3(sc.bounds.phi_l)
-    phi_m_grid = grid3(sc.bounds.phi_m)
+    phi_l_grid = _grid_eval_full(sc.bounds.phi_l, grid)
+    phi_m_grid = _grid_eval_full(sc.bounds.phi_m, grid)
 
     stx = ("size", "time", "space")
     for key, arr, axes in (
-        ("rates.gamma", gamma_grid, ("size", "time")),
+        ("rates.gamma", gamma_samples, ("size", "time")),
         ("rates.gamma at s = 0", gamma0_t, ("time",)),
-        ("rates.gamma at s = s_f", gamma_sf_t, ("time",)),
-        ("rates.mu", mu_grid, stx),
+        ("rates.gamma at s = s_f", gamma_end_t, ("time",)),
+        ("rates.mu", mu_samples, stx),
         ("rates.r", r_grid, stx),
-        ("rates.f", f_grid, stx),
+        ("rates.f", f_samples, stx),
         ("rates.C", C_grid, ("time", "space")),
         ("rates.p0", p0_grid, ("size", "space")),
         ("bounds.phi_l", phi_l_grid, stx),
@@ -406,11 +395,11 @@ def validate_scenario(sc: Scenario) -> ValidatedScenario:
         bad = ~np.isfinite(arr)
         if bad.any():
             violations.append(f"finiteness violated: {key} not finite at {_first_bad(bad, axes)}")
-    if (gamma_grid < 0).any() or (gamma0_t < 0).any() or (gamma_sf_t < 0).any():
+    if (gamma_samples < 0).any() or (gamma0_t < 0).any() or (gamma_end_t < 0).any():
         violations.append("A1 violated: gamma < 0 somewhere on the grid")
     for name, arr, axes in (
-        ("mu", mu_grid, stx),
-        ("f", f_grid, stx),
+        ("mu", mu_samples, stx),
+        ("f", f_samples, stx),
         ("C", C_grid, ("time", "space")),
         ("p0", p0_grid, ("size", "space")),
     ):
@@ -456,7 +445,7 @@ def validate_scenario(sc: Scenario) -> ValidatedScenario:
 
     growth_case = None
     try:
-        growth_case = classify_growth_case_values(gamma0_t, gamma_sf_t)
+        growth_case = classify_growth_case_values(gamma0_t, gamma_end_t)
     except ScenarioValidationError as err:
         violations.extend(err.violations)
 
@@ -466,12 +455,8 @@ def validate_scenario(sc: Scenario) -> ValidatedScenario:
     return ValidatedScenario(
         scenario=sc,
         growth_case=growth_case,
-        gamma_grid=gamma_grid,
         gamma0_t=gamma0_t,
-        gamma_sf_t=gamma_sf_t,
-        mu_grid=mu_grid,
         r_grid=r_grid,
-        f_grid=f_grid,
         C_grid=C_grid,
         p0_grid=p0_grid,
         phi_l_grid=phi_l_grid,

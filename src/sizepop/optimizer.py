@@ -78,10 +78,10 @@ def evaluate_costs(grid: Grid3, p: np.ndarray, beta: np.ndarray, cost: CostParam
     return (w * integrand).sum(axis=(-3, -2, -1))
 
 
-def evaluate_cost(state: StateSolution, beta, cost: CostParams) -> float:
-    """J = integral of [p -/+ rho/2 * beta^2] under the volume quadrature."""
-    grid = state.p.grid
-    return float(evaluate_costs(grid, state.p.values, control_array(grid, beta), cost))
+def evaluate_cost(state: StateSolution, cost: CostParams) -> float:
+    """J = integral of [p -/+ rho/2 * beta^2] under the volume quadrature,
+    at the control the state was solved with."""
+    return float(evaluate_costs(state.p.grid, state.p.values, state.beta, cost))
 
 
 def project_F(h, vsc: ValidatedScenario) -> Field:
@@ -148,7 +148,7 @@ def optimize(vsc: ValidatedScenario, beta0=None,
     for _ in range(max_iters):
         state = solve_state(vsc, beta)
         adj = solve_adjoint(vsc, state)
-        J_history.append(evaluate_cost(state, beta, vsc.cost))
+        J_history.append(evaluate_cost(state, vsc.cost))
         target = fixed_point_update(state, adj, vsc).values
         beta_next = (1.0 - omega) * beta + omega * target
         resid = float(np.max(np.abs(beta_next - beta)))
@@ -164,6 +164,9 @@ def optimize(vsc: ValidatedScenario, beta0=None,
                 break
         else:
             grow_streak = 0
+    # only beta carries over; the last iterate would stay alive through the
+    # diagnostics (max_iters >= 1 is a validated invariant, so these are bound)
+    del state, adj, target
 
     diagnostics = None
     if compute_diagnostics:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import presets
 from .forward import solve_state, solve_states, step_diffusion
-from .model import Field, Grid3, ValidatedScenario
+from .model import Field, Grid3, ValidatedScenario, _grid_eval_full
 from .adjoint import duality_residual, solve_adjoint
 from .optimizer import evaluate_costs, gradient_field, optimize
 
@@ -104,8 +104,12 @@ def mass_budget_residuals(vsc: ValidatedScenario, beta):
     ds, dt = grid.ds, grid.dt
     p = st.p.values
     nb = st.newborn_density.values
-    mu, f = vsc.mu_grid, vsc.f_grid
-    g_sf, gamma0 = vsc.gamma_sf_t, vsc.gamma0_t
+    # the rates are sampled here, as validation samples them, rather than
+    # read from the solver's stored inputs
+    mu, f = _grid_eval_full(vsc.rates.mu, grid), _grid_eval_full(vsc.rates.f, grid)
+    t = grid.t_points
+    gamma0 = vsc.rates.gamma(s=np.zeros_like(t), t=t)
+    g_sf = vsc.rates.gamma(s=np.full_like(t, grid.s_f), t=t)
     discrete = np.empty(grid.Nt)
     physical = np.empty(grid.Nt)
     for j in range(grid.Nt):
@@ -184,6 +188,8 @@ def gradient_check(vsc: ValidatedScenario, n_directions: int = 5, seed: int = 0)
 
     The 2 * n_directions perturbed controls march as one batch.
     """
+    if n_directions < 1:
+        raise ValueError(f"gradient check: directions >= 1 (got {n_directions})")
     grid = vsc.grid
     rng = np.random.default_rng(seed)
     beta = vsc.phi_l_grid + 0.35 * (vsc.phi_m_grid - vsc.phi_l_grid)
@@ -287,6 +293,8 @@ ORACLE_NAMES = tuple(ORACLES)
 
 def run_oracles(names=None, seed: int = 0, corrupt_adjoint_sign: bool = False) -> dict:
     """Run the oracle suite and return a machine-readable report."""
+    if seed < 0:
+        raise ValueError(f"oracle seed >= 0 (got {seed})")
     aliases = {"gradcheck": "fd_gradient"}
     selected = [aliases.get(n, n) for n in names] if names else list(ORACLE_NAMES)
     unknown = set(selected) - set(ORACLE_NAMES)

@@ -84,8 +84,8 @@ def test_criterion_2_gradient_exactness():
         delta = probe - beta  # feasible direction
         analytic = float((w * g * delta).sum())
         bp, bm = beta + eps * delta, beta - eps * delta
-        jp = evaluate_cost(sp.solve_state(vsc, bp), bp, vsc.cost)
-        jm = evaluate_cost(sp.solve_state(vsc, bm), bm, vsc.cost)
+        jp = evaluate_cost(sp.solve_state(vsc, bp), vsc.cost)
+        jm = evaluate_cost(sp.solve_state(vsc, bm), vsc.cost)
         fd = (jp - jm) / (2 * eps)
         worst = max(worst, abs(analytic - fd) / abs(fd))
     elapsed = time.perf_counter() - started

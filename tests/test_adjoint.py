@@ -122,9 +122,9 @@ class TestSensitivity:
         analytic = float((w * z).sum()) \
             + vsc.cost.control_sign * vsc.cost.rho * float((w * beta * delta).sum())
         eps = 1e-5
-        j0 = evaluate_cost(st, beta, vsc.cost)
+        j0 = evaluate_cost(st, vsc.cost)
         b1 = beta + eps * delta
-        j1 = evaluate_cost(sp.solve_state(vsc, b1), b1, vsc.cost)
+        j1 = evaluate_cost(sp.solve_state(vsc, b1), vsc.cost)
         fd = (j1 - j0) / eps
         assert abs(fd - analytic) <= 1e-3 * abs(analytic)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -16,7 +17,7 @@ import pytest
 from sizepop import cli
 from sizepop.characteristics import RootBracketError
 from sizepop.cli import main
-from sizepop.model import Grid3, validate_scenario
+from sizepop.model import Grid3, _grid_eval_full, validate_scenario
 from sizepop.oracles import oracle_transpose_duality, run_oracles
 from sizepop.scenario_io import (
     ScenarioFileError,
@@ -41,6 +42,14 @@ def _write(tmp_path, doc, name="scenario.json") -> str:
     return str(path)
 
 
+def _assert_manifest_checksums(out: Path, names: set[str]) -> None:
+    """Every artifact of out/manifest.json is listed with its file's SHA-256."""
+    artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+    assert set(artifacts) == names
+    for name, digest in artifacts.items():
+        assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+
 def _with(key: str, value) -> dict:
     """A copy of MINIMAL with the dotted `key` set to `value`."""
     doc = json.loads(json.dumps(MINIMAL))
@@ -57,7 +66,7 @@ class TestParseScenario:
         sc = parse_scenario(_write(tmp_path, MINIMAL))
         vsc = validate_scenario(sc)
         assert vsc.growth_case.tag == "a"
-        np.testing.assert_allclose(vsc.mu_grid, 0.1)
+        np.testing.assert_allclose(_grid_eval_full(vsc.rates.mu, vsc.grid), 0.1)
 
     def test_wrong_table_shape_names_key(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
@@ -94,7 +103,7 @@ class TestParseScenario:
         table = (0.2 + 0.5 * rng.random((6, 7, 4))).tolist()
         doc["rates"]["mu"] = {"table": table}
         vsc = validate_scenario(parse_scenario(_write(tmp_path, doc)))
-        np.testing.assert_allclose(vsc.mu_grid, np.asarray(table))
+        np.testing.assert_allclose(_grid_eval_full(vsc.rates.mu, vsc.grid), np.asarray(table))
 
 
 class TestSubcommands:
@@ -109,6 +118,7 @@ class TestSubcommands:
         assert manifest["subcommand"] == "simulate"
         assert set(manifest["artifacts"]) == {"p.csv", "newborns.csv", "population.csv"}
         assert all(len(v) == 64 for v in manifest["artifacts"].values())
+        _assert_manifest_checksums(out, {"p.csv", "newborns.csv", "population.csv"})
 
     def test_simulate_deterministic(self, tmp_path):
         scenario = _write(tmp_path, MINIMAL)
@@ -169,6 +179,7 @@ class TestSubcommands:
         assert len(report["J_history"]) == report["iterations"]
         assert report["contraction"] is not None
         assert (np.asarray(report["update_residuals"][:-1]) > 0).all()
+        _assert_manifest_checksums(out, {"beta_opt.csv", "report.json"})
 
     def test_gradcheck_passes(self, capsys):
         assert main(["gradcheck", "--directions", "2", "--seed", "1"]) == 0
@@ -190,6 +201,7 @@ class TestSubcommands:
         ("max_iters", -3, ["--max-iters", "-3"]),
         ("fixed_point_tol", 0.0, ["--tol", "0"]),
         ("fixed_point_tol", -1e-9, ["--tol=-1e-9"]),
+        ("seed", -1, ["--seed", "-1"]),
     ])
     def test_bad_iteration_tolerances_are_usage_errors(self, tmp_path, capsys, key, value, flags):
         doc = json.loads(json.dumps(MINIMAL))
@@ -261,6 +273,10 @@ class TestSubcommands:
         # simulate and adjoint use no random numbers, so they take no seed
         (["simulate", "--scenario", "{scenario}", "--beta", "0.4", "--out", "d", "--seed", "3"],
          "unrecognized arguments: --seed 3"),
+        # refused before anything runs, by a message that names the option
+        (["oracle", "--seed", "-1"], "seed"),
+        (["gradcheck", "--directions", "0"], "directions"),
+        (["gradcheck", "--directions", "-2"], "directions"),
     ])
     def test_argument_errors_exit_with_usage_code(self, tmp_path, capsys, args, message):
         # argparse exits through SystemExit; where a newer argparse accepts

@@ -15,6 +15,7 @@ from sizepop.model import (
     ScenarioValidationError,
     Tolerances,
     VitalRates,
+    _grid_eval_full,
     validate_scenario,
 )
 from sizepop.scenario_io import ScenarioFileError, read_field_csv, write_field_csv
@@ -37,7 +38,7 @@ def test_constant_rate_scenario_accepted():
     vsc = validate_scenario(_scenario())
     assert vsc.growth_case.tag == "a"
     assert vsc.gamma0_t.shape == (5,)
-    assert vsc.mu_grid.shape == (4, 5, 4)
+    assert _grid_eval_full(vsc.rates.mu, vsc.grid).shape == (4, 5, 4)
 
 
 def test_female_ratio_one_rejected():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -43,15 +46,15 @@ def _adjoint(grid, phi0_value) -> AdjointSolution:
 
 class TestEvaluateCost:
     def test_minus_variant(self):
-        J = evaluate_cost(_state(GRID, 1.0, 1.0), 1.0, CostParams(rho=1.0, sign_variant="minus"))
+        J = evaluate_cost(_state(GRID, 1.0, 1.0), CostParams(rho=1.0, sign_variant="minus"))
         assert J == pytest.approx(0.5, abs=1e-14)
 
     def test_plus_variant(self):
-        J = evaluate_cost(_state(GRID, 1.0, 1.0), 1.0, CostParams(rho=1.0, sign_variant="plus"))
+        J = evaluate_cost(_state(GRID, 1.0, 1.0), CostParams(rho=1.0, sign_variant="plus"))
         assert J == pytest.approx(1.5, abs=1e-14)
 
     def test_zero_control_integrates_density(self):
-        J = evaluate_cost(_state(GRID, 1.0, 0.0), 0.0, CostParams(rho=1.0))
+        J = evaluate_cost(_state(GRID, 1.0, 0.0), CostParams(rho=1.0))
         assert J == pytest.approx(1.0, abs=1e-14)
 
 
@@ -103,8 +106,8 @@ class TestGradientField:
             k = int(rng.integers(0, grid.Nx))
             bp = beta.copy(); bp[i, j, k] += eps
             bm = beta.copy(); bm[i, j, k] -= eps
-            jp = evaluate_cost(sp.solve_state(vsc, bp), bp, vsc.cost)
-            jm = evaluate_cost(sp.solve_state(vsc, bm), bm, vsc.cost)
+            jp = evaluate_cost(sp.solve_state(vsc, bp), vsc.cost)
+            jm = evaluate_cost(sp.solve_state(vsc, bm), vsc.cost)
             fd = (jp - jm) / (2 * eps)
             assert abs(g[i, j, k] * w[i, j, k] - fd) <= 1e-6 * max(abs(fd), 1e-12)
 
@@ -186,6 +189,37 @@ class TestOptimize:
         rep = optimize(vsc, beta0=0.0, compute_diagnostics=False)
         assert rep.status == "diverged"
         assert len(rep.update_residuals) >= 10
+
+    def test_only_the_control_outlives_an_iteration(self, monkeypatch):
+        # the diagnostics march five samples of their own; the sweep's last
+        # state, adjoint and update target must be freed before they start
+        refs = []
+
+        def recorded(fn, part=lambda out: out):
+            def wrapper(*args):
+                out = fn(*args)
+                refs.append(weakref.ref(part(out)))
+                return out
+            return wrapper
+
+        def diagnostics_on_a_clean_slate(vsc, samples):
+            alive = [r for r in refs if r() is not None]
+            assert len(refs) >= 6 and not alive  # two iterations or more
+            return diagnose(vsc, samples)
+
+        diagnose = opt_mod.contraction_diagnostics
+        monkeypatch.setattr(opt_mod, "solve_state", recorded(opt_mod.solve_state))
+        monkeypatch.setattr(opt_mod, "solve_adjoint", recorded(opt_mod.solve_adjoint))
+        monkeypatch.setattr(opt_mod, "fixed_point_update",
+                            recorded(opt_mod.fixed_point_update, lambda out: out.values))
+        monkeypatch.setattr(opt_mod, "contraction_diagnostics", diagnostics_on_a_clean_slate)
+        # reference counting alone must free them, as in the sweep itself
+        gc.disable()
+        try:
+            rep = optimize(smooth_default(8, 8, 4))
+        finally:
+            gc.enable()
+        assert rep.contraction is not None
 
 
 class TestContractionDiagnostics:

@@ -156,7 +156,7 @@ def test_batched_march_matches_separate_solves(name, n):
         assert np.array_equal(p[m], state.p.values)
         assert np.array_equal(newborn[m], state.newborn_density.values)
         assert np.array_equal(p[m], reference_state(vsc, betas[m]))
-        assert costs[m] == evaluate_cost(state, betas[m], vsc.cost)
+        assert costs[m] == evaluate_cost(state, vsc.cost)
 
 
 def test_non_finite_batch_member_is_named():
@@ -189,7 +189,7 @@ def looped_brute_force_search(vsc, n_levels):
     for multi in np.ndindex(*(n_levels,) * n_dof):
         vals = levels[list(multi)]
         b = control(vals)
-        J = evaluate_cost(solve_state(vsc, b), b, vsc.cost)
+        J = evaluate_cost(solve_state(vsc, b), vsc.cost)
         if J < best_J:
             best_J, best_vals = J, vals
     step = levels[1] - levels[0]
@@ -201,7 +201,7 @@ def looped_brute_force_search(vsc, n_levels):
             if vals[d] < lo - 1e-12 or vals[d] > hi + 1e-12:
                 continue
             b = control(vals)
-            sens = max(sens, abs(evaluate_cost(solve_state(vsc, b), b, vsc.cost) - best_J))
+            sens = max(sens, abs(evaluate_cost(solve_state(vsc, b), vsc.cost) - best_J))
     return best_J, best_vals, sens
 
 
@@ -229,7 +229,7 @@ def test_gradient_check_matches_looped_differences():
     for row in rows:
         delta = rng.standard_normal(beta.shape)
         bp, bm = beta + eps * delta, beta - eps * delta
-        jp = evaluate_cost(solve_state(vsc, bp), bp, vsc.cost)
-        jm = evaluate_cost(solve_state(vsc, bm), bm, vsc.cost)
+        jp = evaluate_cost(solve_state(vsc, bp), vsc.cost)
+        jm = evaluate_cost(solve_state(vsc, bm), vsc.cost)
         assert row["fd"] == (jp - jm) / (2.0 * eps)
         assert row["analytic"] == float((vsc.grid.volume_weights() * g * delta).sum())
