@@ -79,14 +79,14 @@ def trace_curve(gamma: RateField, grid: Grid3, t0, s0, times) -> np.ndarray:
     return out
 
 
-def _bisect(f, lo, hi, tol: float = 1e-12) -> np.ndarray:
+def _bisect(f, lo, hi) -> np.ndarray:
     """Roots of f on the brackets [lo[m], hi[m]], bisected in lockstep.
 
     `f(idx, x)` evaluates the functions of the entries `idx` at the points
     `x`.  Every entry follows the scalar midpoint rule on its own: a bracket
     end where f vanishes is the root; otherwise the bracket is halved, with
     an early exit at a midpoint where f == 0, until it is no wider than
-    `tol` or no float lies strictly inside it, and its midpoint is the root.
+    1e-12 or no float lies strictly inside it, and its midpoint is the root.
     Raises RootBracketError, for the first such entry, when f has the same
     sign at both ends of a bracket.
     """
@@ -103,7 +103,7 @@ def _bisect(f, lo, hi, tol: float = 1e-12) -> np.ndarray:
     run = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
     while run.size:
         mid = 0.5 * (lo[run] + hi[run])
-        stop = (hi[run] - lo[run] <= tol) | (mid == lo[run]) | (mid == hi[run])
+        stop = (hi[run] - lo[run] <= 1e-12) | (mid == lo[run]) | (mid == hi[run])
         root[run[stop]] = mid[stop]
         run, mid = run[~stop], mid[~stop]
         fm = f(run, mid)

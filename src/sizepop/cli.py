@@ -22,7 +22,7 @@ import numpy as np
 
 from .adjoint import solve_adjoint
 from .characteristics import RootBracketError
-from .forward import solve_state
+from .forward import solve_state, total_population
 from .model import (
     Field,
     NumericalError,
@@ -83,7 +83,7 @@ def _resolve_beta(spec: str, vsc: ValidatedScenario):
         beta = float(spec)
     except ValueError:
         beta = read_field_csv(spec, vsc.grid)
-    values = control_array(vsc, beta)
+    values = control_array(vsc.grid, beta)
     outside = (values < vsc.phi_l_grid) | (values > vsc.phi_m_grid)
     if outside.any():
         i, j, k = (int(v) for v in np.argwhere(outside)[0])
@@ -106,7 +106,7 @@ def _cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_field_csv(state.p, out / "p.csv")
     write_field_csv(state.newborn_density, out / "newborns.csv")
-    write_field_csv(Field(vsc.grid, ("time",), state.total_population), out / "population.csv")
+    write_field_csv(Field(vsc.grid, ("time",), total_population(state.p)), out / "population.csv")
     write_manifest(out, "simulate", vars(args), started,
                    [out / n for n in ("p.csv", "newborns.csv", "population.csv")],
                    seed=vsc.tolerances.seed)
@@ -132,16 +132,14 @@ def _cmd_adjoint(args) -> int:
 def _cmd_optimize(args) -> int:
     started = time.time()
     vsc = _load_validated(args.scenario)
-    if args.max_iters is not None or args.tol is not None or args.relax is not None:
-        vsc = vsc.with_tolerances(**{
-            k: v for k, v in {
-                "max_iters": args.max_iters,
-                "fixed_point_tol": args.tol,
-                "relax_omega": args.relax,
-            }.items() if v is not None
-        })
-    if args.seed is not None:
-        vsc = vsc.with_tolerances(seed=args.seed)
+    overrides = {k: v for k, v in {
+        "max_iters": args.max_iters,
+        "fixed_point_tol": args.tol,
+        "relax_omega": args.relax,
+        "seed": args.seed,
+    }.items() if v is not None}
+    if overrides:
+        vsc = vsc.with_tolerances(**overrides)
     report = optimize(vsc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -160,7 +158,7 @@ def _cmd_gradcheck(args) -> int:
         vsc = _load_validated(args.scenario)
     else:
         from .presets import smooth_default
-        vsc = smooth_default(12, 12, 6, seed=args.seed or 0)
+        vsc = smooth_default(12, 12, 6)
     if args.seed is not None:
         vsc = vsc.with_tolerances(seed=args.seed)
     rows = gradient_check(vsc, n_directions=args.directions, seed=vsc.tolerances.seed)

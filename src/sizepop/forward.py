@@ -297,13 +297,12 @@ class StepContext:
 
 @dataclass(frozen=True)
 class StateSolution:
-    """Density over the full grid plus the recorded newborn boundary trace
-    and the total population per time level.  Keeps the control it was
-    solved with, which the adjoint and sensitivity solves read."""
+    """Density over the full grid plus the recorded newborn boundary trace.
+    Keeps the control it was solved with, which the adjoint and sensitivity
+    solves read."""
 
     p: Field
     newborn_density: Field
-    total_population: np.ndarray
     beta: np.ndarray
 
 
@@ -360,17 +359,15 @@ def solve_states(vsc: ValidatedScenario, betas: np.ndarray) -> tuple[np.ndarray,
 def solve_state(vsc: ValidatedScenario, beta) -> StateSolution:
     """March the density from the initial slice to the horizon.
 
-    The K = 1 case of solve_states, plus the total population per level.
+    The K = 1 case of solve_states.
     """
     grid = vsc.grid
-    beta_arr = control_array(vsc, beta)
+    beta_arr = control_array(grid, beta)
     p, newborn = solve_states(vsc, beta_arr[None])
-    p_field = Field(grid, ("size", "time", "space"), p[0])
     beta_frozen = beta_arr.copy()
     beta_frozen.flags.writeable = False
     return StateSolution(
-        p=p_field,
+        p=Field(grid, ("size", "time", "space"), p[0]),
         newborn_density=Field(grid, ("time", "space"), newborn[0]),
-        total_population=total_population(p_field),
         beta=beta_frozen,
     )

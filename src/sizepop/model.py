@@ -157,11 +157,6 @@ class Field:
             idx = tuple(int(v) for v in np.argwhere(~np.isfinite(self.values))[0])
             raise NumericalError(f"non-finite field value at {dict(zip(self.axes, idx))}")
 
-    @staticmethod
-    def full(grid: Grid3, axes: tuple[str, ...], value: float) -> "Field":
-        shape = tuple(grid.axis_len(a) for a in axes)
-        return Field(grid, axes, np.full(shape, float(value)))
-
 
 @dataclass(frozen=True)
 class VitalRates:
@@ -464,11 +459,15 @@ def validate_scenario(sc: Scenario) -> ValidatedScenario:
     )
 
 
-def control_array(grid_or_vsc, beta) -> np.ndarray:
-    """Coerce a control given as Field, array, rate or scalar to (Ns,Nt+1,Nx)."""
-    grid = grid_or_vsc if isinstance(grid_or_vsc, Grid3) else grid_or_vsc.grid
+def control_array(grid: Grid3, beta) -> np.ndarray:
+    """Coerce a control given as Field, array, rate or scalar to (Ns,Nt+1,Nx).
+
+    A Field must be on `grid` itself, not only of its shape.
+    """
     shape = (grid.Ns, grid.Nt + 1, grid.Nx)
     if isinstance(beta, Field):
+        if beta.grid != grid:
+            raise ValueError("control field is on a different grid than the scenario")
         if beta.axes != ("size", "time", "space"):
             raise ValueError("control field must vary over (size, time, space)")
         return np.asarray(beta.values)

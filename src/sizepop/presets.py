@@ -18,7 +18,6 @@ from .model import (
 
 
 def smooth_default(Ns: int = 20, Nt: int = 20, Nx: int = 10, *,
-                   rho: float = 10.0, c: float = 1.0, sign_variant: str = "minus",
                    seed: int = 0) -> ValidatedScenario:
     """Gently varying rates, renewal-active growth, contraction-friendly cost.
 
@@ -43,7 +42,7 @@ def smooth_default(Ns: int = 20, Nt: int = 20, Nx: int = 10, *,
         rates=rates,
         k=0.01,
         bounds=ControlBounds.constants(0.0, 1.0),
-        cost=CostParams(rho=rho, c=c, sign_variant=sign_variant),
+        cost=CostParams(rho=10.0),
         tolerances=Tolerances(fixed_point_tol=1e-9, max_iters=300, relax_omega=1.0, seed=seed),
     )
     return validate_scenario(sc)
@@ -101,21 +100,21 @@ def brute_force_instance() -> ValidatedScenario:
     return validate_scenario(sc)
 
 
-def pure_transport(Ns: int, Nt: int, *, gamma_a: float = 0.3, gamma_b: float = 0.4,
-                   T: float = 0.6) -> ValidatedScenario:
+def pure_transport(Ns: int, Nt: int) -> ValidatedScenario:
     """Advection-only scenario: no mortality, no sources, no births.
 
-    The Gaussian bump stays clear of both size boundaries over the horizon,
-    so the exact solution is the bump carried along the characteristics with
-    the decay-factor scaling exp(-gamma_b * t).
+    The growth rate is 0.3 + 0.4*s.  The Gaussian bump stays clear of both
+    size boundaries over the horizon, so the exact solution is the bump
+    carried along the characteristics with the decay-factor scaling
+    exp(-0.4 * t).
     """
-    grid = Grid3(Ns=Ns, Nt=Nt, Nx=3, s_f=1.0, T=T, L=1.0)
+    grid = Grid3(Ns=Ns, Nt=Nt, Nx=3, s_f=1.0, T=0.6, L=1.0)
 
     def bump(s, x):
         return np.exp(-(((s - 0.3) / 0.08) ** 2)) * np.ones_like(x)
 
     rates = VitalRates(
-        gamma=rate_lib.from_preset("linear-in-s", ("size", "time"), {"a": gamma_a, "b": gamma_b}),
+        gamma=rate_lib.from_preset("linear-in-s", ("size", "time"), {"a": 0.3, "b": 0.4}),
         mu=rate_lib.constant(0.0, ("size", "time", "space")),
         r=rate_lib.constant(0.5, ("size", "time", "space")),
         f=rate_lib.constant(0.0, ("size", "time", "space")),

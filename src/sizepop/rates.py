@@ -45,7 +45,9 @@ class RateField:
 
     `axes` lists the coordinates the rate genuinely varies over, in canonical
     (size, time, space) order.  `fn` takes exactly those coordinates.
-    `d_ds` is the partial derivative in s (only populated for growth rates).
+    `d_ds` is the partial derivative in s.  The constant, preset and table
+    constructors give one to every rate with a size axis; `from_callable`
+    only when the caller passes it.  The solvers read it for growth alone.
     """
 
     axes: tuple[str, ...]

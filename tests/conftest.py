@@ -12,6 +12,7 @@ from sizepop import rates as rate_lib
 from sizepop.model import (
     ControlBounds,
     CostParams,
+    Field,
     Grid3,
     Scenario,
     Tolerances,
@@ -59,6 +60,12 @@ def unit_scenario(grid=None, *, gamma=1.0, mu=0.0, r=0.5, f=0.0, C=0.0, p0=1.0,
         tolerances=tol or Tolerances(),
     )
     return validate_scenario(sc)
+
+
+def full_field(grid: Grid3, axes: tuple[str, ...], value: float) -> Field:
+    """A field of one constant value over the given axes."""
+    shape = tuple(grid.axis_len(a) for a in axes)
+    return Field(grid, axes, np.full(shape, float(value)))
 
 
 def with_cost(vsc: ValidatedScenario, **kw) -> ValidatedScenario:

@@ -17,6 +17,7 @@ import pytest
 from sizepop import cli
 from sizepop.characteristics import RootBracketError
 from sizepop.cli import main
+from sizepop.forward import StepContext
 from sizepop.model import Grid3, _grid_eval_full, validate_scenario
 from sizepop.oracles import oracle_transpose_duality, run_oracles
 from sizepop.scenario_io import (
@@ -25,6 +26,7 @@ from sizepop.scenario_io import (
     read_field_csv,
     write_field_csv,
 )
+from conftest import full_field
 
 MINIMAL = {
     "grid": {"Ns": 6, "Nt": 6, "Nx": 4, "s_f": 1.0, "T": 1.0, "L": 1.0},
@@ -144,8 +146,7 @@ class TestSubcommands:
     def test_beta_from_field_file(self, tmp_path):
         scenario = _write(tmp_path, MINIMAL)
         grid = Grid3(**MINIMAL["grid"])
-        from sizepop.model import Field
-        beta = Field.full(grid, ("size", "time", "space"), 0.25)
+        beta = full_field(grid, ("size", "time", "space"), 0.25)
         beta_path = tmp_path / "beta.csv"
         write_field_csv(beta, beta_path)
         out = tmp_path / "simfile"
@@ -180,6 +181,16 @@ class TestSubcommands:
         assert report["contraction"] is not None
         assert (np.asarray(report["update_residuals"][:-1]) > 0).all()
         _assert_manifest_checksums(out, {"beta_opt.csv", "report.json"})
+
+    def test_relaxed_optimum_in_a_pinned_box_simulates(self, tmp_path):
+        doc = _with("bounds", {"phi_l": 0.1, "phi_m": 0.1})
+        scenario = _write(tmp_path, doc)
+        out = tmp_path / "opt"
+        assert main(["optimize", "--scenario", scenario, "--out", str(out),
+                     "--relax", "0.3"]) == 0
+        assert json.loads((out / "report.json").read_text())["contraction"] is None
+        assert main(["simulate", "--scenario", scenario, "--beta", str(out / "beta_opt.csv"),
+                     "--out", str(tmp_path / "sim")]) == 0
 
     def test_gradcheck_passes(self, capsys):
         assert main(["gradcheck", "--directions", "2", "--seed", "1"]) == 0
@@ -421,16 +432,32 @@ def test_import_leaves_scipy_interpolate_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def _corrupt_adjoint(monkeypatch) -> None:
+    """Flip the sign of one entry of every transposed step, in the step the
+    oracle and solve_adjoint both call."""
+    exact = StepContext.apply_step_adjoint
+
+    def corrupted(self, beta, j, lam):
+        out, yhat = exact(self, beta, j, lam)
+        out[0, 0] = -out[0, 0]
+        return out, yhat
+
+    monkeypatch.setattr(StepContext, "apply_step_adjoint", corrupted)
+
+
 @pytest.mark.parametrize("seed", [72, 152, 154, 280, 287, 388])
-def test_duality_oracle_on_seeds_where_the_pairing_cancels(seed):
+def test_duality_oracle_on_seeds_where_the_pairing_cancels(seed, monkeypatch):
     # <Au, v> cancels to about 1e-5 of |Au| |v| on these seeds, so a defect
     # relative to |<Au, v>| read as a failure although the step is exact
     assert oracle_transpose_duality(seed=seed)["passed"]
-    assert not oracle_transpose_duality(seed=seed, corrupt_adjoint_sign=True)["passed"]
+    _corrupt_adjoint(monkeypatch)
+    assert not oracle_transpose_duality(seed=seed)["passed"]
 
 
-def test_corrupted_adjoint_fails_duality_oracle():
-    report = run_oracles(names=["transpose_duality"], corrupt_adjoint_sign=True)
-    assert not report["all_passed"]
+def test_corrupted_adjoint_fails_duality_oracle(monkeypatch):
     clean = run_oracles(names=["transpose_duality"])
     assert clean["all_passed"]
+    _corrupt_adjoint(monkeypatch)
+    report = run_oracles(names=["transpose_duality"])
+    assert not report["all_passed"]
+    assert main(["oracle", "--only", "transpose_duality"]) == 2

@@ -24,7 +24,7 @@ from sizepop.model import (
 )
 from sizepop.optimizer import optimize
 from sizepop.presets import mass_balance_preset, tiny_random
-from conftest import random_nonneg_scenario, unit_scenario
+from conftest import full_field, random_nonneg_scenario, unit_scenario
 
 
 class TestComputeRenewal:
@@ -35,7 +35,7 @@ class TestComputeRenewal:
     def newborn(self, vsc, beta, j=3):
         # j = 3 is t = 0.3
         ones = np.ones((self.GRID.Ns, self.GRID.Nx))
-        return vsc.step_context.newborn_value(control_array(vsc, beta), j, ones)
+        return vsc.step_context.newborn_value(control_array(vsc.grid, beta), j, ones)
 
     def test_birth_integral(self):
         vsc = unit_scenario(self.GRID, gamma=1.0, r=0.5, C=0.0)
@@ -65,7 +65,7 @@ class TestStepTransportReaction:
 
     @staticmethod
     def step(vsc, p_j, beta, j=0):
-        return vsc.step_context.step(control_array(vsc, beta), j, p_j)[0]
+        return vsc.step_context.step(control_array(vsc.grid, beta), j, p_j)[0]
 
     def test_pure_shift_of_linear_profile(self):
         grid = Grid3(Ns=10, Nt=10, Nx=3, s_f=1.0, T=1.0, L=1.0)
@@ -96,7 +96,7 @@ class TestStepDiffusion:
     K, DT = 0.01, 0.01
 
     def test_constants_preserved(self):
-        fld = Field.full(self.GRID, ("size", "space"), 3.7)
+        fld = full_field(self.GRID, ("size", "space"), 3.7)
         out = step_diffusion(fld, self.K, self.DT)
         np.testing.assert_allclose(out.values, 3.7, atol=1e-12)
 
@@ -135,7 +135,7 @@ class TestSolveState:
         vsc = validate_scenario(Scenario(grid=grid, rates=rates, k=0.01,
                                          bounds=ControlBounds.constants(0.0, 1.0)))
         st = sp.solve_state(vsc, 0.0)
-        P = st.total_population
+        P = total_population(st.p)
         assert (np.diff(P) <= 1e-14).all()  # nonincreasing
         wx = grid.space_weights() * grid.dx
         s = grid.s_centers
@@ -186,11 +186,11 @@ class TestTotalPopulation:
     GRID = Grid3(Ns=8, Nt=4, Nx=5, s_f=1.0, T=1.0, L=1.0)
 
     def test_unit_density_unit_volume(self):
-        P = total_population(Field.full(self.GRID, ("size", "time", "space"), 1.0))
+        P = total_population(full_field(self.GRID, ("size", "time", "space"), 1.0))
         np.testing.assert_allclose(P, 1.0, atol=1e-14)
 
     def test_zero_density(self):
-        P = total_population(Field.full(self.GRID, ("size", "time", "space"), 0.0))
+        P = total_population(full_field(self.GRID, ("size", "time", "space"), 0.0))
         np.testing.assert_allclose(P, 0.0)
 
     def test_midpoint_rule_exact_for_linear(self):

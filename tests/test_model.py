@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,11 +17,14 @@ from sizepop.model import (
     Scenario,
     ScenarioValidationError,
     Tolerances,
+    ValidatedScenario,
     VitalRates,
     _grid_eval_full,
     validate_scenario,
 )
-from sizepop.scenario_io import ScenarioFileError, read_field_csv, write_field_csv
+from sizepop.presets import smooth_default
+from sizepop.scenario_io import ScenarioFileError, parse_scenario, read_field_csv, write_field_csv
+from conftest import full_field
 
 
 def _scenario(**overrides):
@@ -103,7 +109,7 @@ def test_field_shape_checked():
 
 def test_field_values_frozen():
     grid = Grid3(Ns=3, Nt=4, Nx=5, s_f=1.0, T=1.0, L=1.0)
-    fld = Field.full(grid, ("size",), 1.0)
+    fld = full_field(grid, ("size",), 1.0)
     with pytest.raises(ValueError):
         fld.values[0] = 2.0
 
@@ -235,3 +241,25 @@ class TestFieldCsvRejections:
         def edit(lines):
             lines[1] = ",,,1"
         self._rejects(self._file(tmp_path, edit), "field varies over no axis")
+
+
+def test_smooth_preset_is_the_smooth_scenario_file():
+    # the benchmark runs the file and the test suite runs the preset
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "smooth.json"
+    from_file = validate_scenario(parse_scenario(path))
+    preset = smooth_default(20, 20, 10)
+    assert from_file.grid == preset.grid
+    assert from_file.k == preset.k
+    assert from_file.cost == preset.cost
+    assert from_file.tolerances == preset.tolerances
+    assert from_file.growth_case == preset.growth_case
+    for f in fields(ValidatedScenario):
+        if isinstance(getattr(preset, f.name), np.ndarray):
+            np.testing.assert_array_equal(getattr(from_file, f.name), getattr(preset, f.name),
+                                          err_msg=f.name)
+    a, b = from_file.step_context, preset.step_context
+    np.testing.assert_array_equal(a.E, b.E)
+    np.testing.assert_array_equal(a.Fsrc, b.Fsrc)
+    assert len(a.transport) == len(b.transport)
+    for ta, tb in zip(a.transport, b.transport):
+        np.testing.assert_array_equal(ta.toarray(), tb.toarray())

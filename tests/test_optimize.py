@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import sizepop as sp
 import sizepop.optimizer as opt_mod
-from sizepop.adjoint import AdjointSolution, solve_adjoint
+from sizepop.adjoint import AdjointSolution, duality_residual, solve_adjoint, solve_sensitivity
 from sizepop.forward import StateSolution
-from sizepop.model import CostParams, Field, Grid3, control_array
+from sizepop.model import ControlBounds, CostParams, Field, Grid3, control_array, validate_scenario
 from sizepop.optimizer import (
     contraction_diagnostics,
     evaluate_cost,
@@ -22,25 +23,24 @@ from sizepop.optimizer import (
     project_F,
 )
 from sizepop.presets import smooth_default, tiny_random
-from conftest import unit_scenario, with_cost
+from conftest import full_field, unit_scenario, with_cost
 
 GRID = Grid3(Ns=4, Nt=5, Nx=4, s_f=1.0, T=1.0, L=1.0)
 
 
 def _state(grid, p_value, beta) -> StateSolution:
-    p = Field.full(grid, ("size", "time", "space"), p_value)
+    p = full_field(grid, ("size", "time", "space"), p_value)
     return StateSolution(
         p=p,
-        newborn_density=Field.full(grid, ("time", "space"), 0.0),
-        total_population=np.zeros(grid.Nt + 1),
+        newborn_density=full_field(grid, ("time", "space"), 0.0),
         beta=control_array(grid, beta),
     )
 
 
 def _adjoint(grid, phi0_value) -> AdjointSolution:
     return AdjointSolution(
-        phi=Field.full(grid, ("size", "time", "space"), 0.0),
-        phi_at_zero=Field.full(grid, ("time", "space"), phi0_value),
+        phi=full_field(grid, ("size", "time", "space"), 0.0),
+        phi_at_zero=full_field(grid, ("time", "space"), phi0_value),
     )
 
 
@@ -63,7 +63,7 @@ class TestProjection:
 
     @pytest.mark.parametrize("h,expected", [(0.5, 0.4), (0.25, 0.25), (-3.0, 0.1)])
     def test_clip(self, h, expected):
-        out = project_F(Field.full(GRID, ("size", "time", "space"), h), self.BOX)
+        out = project_F(full_field(GRID, ("size", "time", "space"), h), self.BOX)
         np.testing.assert_allclose(out.values, expected)
 
     def test_idempotent(self, rng):
@@ -150,6 +150,16 @@ class TestOptimize:
         assert rep.iterations == 1
         np.testing.assert_allclose(rep.beta_opt.values, 0.3)
 
+    def test_relaxed_update_stays_in_a_pinned_box(self):
+        # (1 - omega)*0.1 + omega*0.1 rounds to 0.09999999999999999 at omega = 0.3
+        sc = smooth_default(8, 8, 4).scenario
+        vsc = validate_scenario(replace(sc, bounds=ControlBounds.constants(0.1, 0.1),
+                                        tolerances=replace(sc.tolerances, relax_omega=0.3)))
+        rep = optimize(vsc)
+        assert (rep.beta_opt.values >= vsc.phi_l_grid).all()
+        assert (rep.beta_opt.values <= vsc.phi_m_grid).all()
+        assert rep.contraction is None  # every sample is the one control
+
     def test_two_starts_agree(self):
         vsc = smooth_default(10, 10, 6)
         r1 = optimize(vsc, beta0=vsc.phi_l_grid, compute_diagnostics=False)
@@ -183,7 +193,7 @@ class TestOptimize:
 
         def runaway(state, adjoint, scenario):
             grow["scale"] *= 2.0
-            return Field.full(vsc.grid, ("size", "time", "space"), grow["scale"])
+            return full_field(vsc.grid, ("size", "time", "space"), grow["scale"])
 
         monkeypatch.setattr(opt_mod, "fixed_point_update", runaway)
         rep = optimize(vsc, beta0=0.0, compute_diagnostics=False)
@@ -230,8 +240,8 @@ class TestContractionDiagnostics:
         assert diag.ratio == 0.0 and diag.contraction_ok
 
     def test_ratio_scales_inversely_with_rho(self):
-        vsc1 = smooth_default(8, 8, 4, rho=5.0)
-        vsc2 = smooth_default(8, 8, 4, rho=10.0)
+        vsc1 = with_cost(smooth_default(8, 8, 4), rho=5.0)
+        vsc2 = with_cost(smooth_default(8, 8, 4), rho=10.0)
         samples = [0.2, 0.7]
         d1 = contraction_diagnostics(vsc1, samples)
         d2 = contraction_diagnostics(vsc2, samples)
@@ -243,7 +253,7 @@ class TestContractionDiagnostics:
             contraction_diagnostics(vsc, [0.4, 0.4, 0.4])
 
     def test_geometric_residual_decay_under_contraction(self):
-        vsc = smooth_default(10, 10, 6, rho=10.0, c=1.0)
+        vsc = with_cost(smooth_default(10, 10, 6), rho=10.0, c=1.0)
         rep = optimize(vsc)
         assert rep.contraction is not None and rep.contraction.ratio < 1.0
         r = rep.update_residuals
@@ -251,3 +261,24 @@ class TestContractionDiagnostics:
             if r[k + 1] <= 1e-13:
                 break
             assert r[k + 1] / r[k] <= rep.contraction.ratio + 0.1
+
+
+@pytest.mark.parametrize("entry", ["solve_state", "optimize", "solve_sensitivity",
+                                   "duality_residual", "contraction_diagnostics", "project_F"])
+def test_control_field_on_another_grid_is_refused(entry):
+    # same shape as the scenario's grid, other extents
+    vsc = smooth_default(8, 8, 4)
+    other = full_field(Grid3(Ns=8, Nt=8, Nx=4, s_f=2.0, T=5.0, L=3.0),
+                       ("size", "time", "space"), 0.4)
+    state = sp.solve_state(vsc, 0.4)
+    calls = {
+        "solve_state": lambda: sp.solve_state(vsc, other),
+        "optimize": lambda: optimize(vsc, beta0=other, compute_diagnostics=False),
+        "solve_sensitivity": lambda: solve_sensitivity(vsc, state, other),
+        "duality_residual": lambda: duality_residual(vsc, state, solve_adjoint(vsc, state),
+                                                     other),
+        "contraction_diagnostics": lambda: contraction_diagnostics(vsc, [0.2, other]),
+        "project_F": lambda: project_F(other, vsc),
+    }
+    with pytest.raises(ValueError, match="different grid"):
+        calls[entry]()
