@@ -5,7 +5,7 @@ backward from a zero terminal condition with the running cost source, rather
 than a separate discretization of a continuous dual system.  Both directions
 use the scenario's one StepContext, built once per validated scenario and
 read from `vsc.step_context`: the adjoint step applies the transposed
-diffusion bands, the reaction factor and T_j.T, and the sensitivity march
+diffusion solve, the reaction factor and T_j.T, and the sensitivity march
 advances through the same primitive as the state march.  Neither takes a
 control: both use `state.beta`, the control the state was solved with.
 That choice buys two machine-precision identities the optimizer relies on:

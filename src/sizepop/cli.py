@@ -2,7 +2,9 @@
 
 Subcommands: simulate, adjoint, optimize, gradcheck, oracle.  Each run that
 produces files also writes a manifest recording the resolved options, the
-wall-clock duration, the seed and a SHA-256 checksum of every artifact.
+wall-clock duration, the seed, the sizepop, Python and numpy versions (the
+last bits of a solve depend on the numpy and BLAS build) and a SHA-256
+checksum of every artifact.
 Exit codes: 0 success, 1 usage or configuration error (including a file
 that cannot be read or written, and a control outside the box
 [phi_l, phi_m]), 2 oracle or check failure, 3 numerical failure, 4 internal
@@ -14,12 +16,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .adjoint import solve_adjoint
 from .characteristics import RootBracketError
 from .forward import solve_state, total_population
@@ -62,6 +66,8 @@ def write_manifest(out_dir: Path, subcommand: str, options: dict, started: float
         "out_dir": str(out_dir),
         "seed": seed,
         "duration_s": time.time() - started,
+        "versions": {"sizepop": __version__, "python": platform.python_version(),
+                     "numpy": np.__version__},
         "artifacts": {p.name: _sha256(p) for p in artifacts},
     }
     path = out_dir / "manifest.json"

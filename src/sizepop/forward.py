@@ -6,16 +6,15 @@ StepContext precomputes once per validated scenario (on first use of
 
   1. a renewal row: the newborn boundary value b from the birth integral
      (midpoint rule in size), the only place the control enters,
-  2. a sparse transport matrix T_j of shape Ns x (Ns+1) acting on the
-     stacked slice [u; b]: semi-Lagrangian interpolation at the
-     characteristic feet, scaled by the decay factor from the size
-     divergence of the growth rate; column Ns carries the newborn boundary
-     value,
+  2. a sparse transport operator T_j of shape Ns x (Ns+1) acting on the
+     stacked slice [u; b], stored as a three-entry stencil per row:
+     semi-Lagrangian interpolation at the characteristic feet, scaled by the
+     decay factor from the size divergence of the growth rate; column Ns
+     carries the newborn boundary value,
   3. a reaction that is exact in mortality: multiply by E_j = exp(-mu*dt),
      add the feed f*dt,
   4. one backward-Euler diffusion step in space per size cell, with a
-     second-order Neumann ghost-point closure, solved by LAPACK dgtsv on the
-     three bands.
+     second-order Neumann ghost-point closure (DiffusionSolve).
 
 StepContext builds the parts of every step at once.  One characteristic
 trace takes all cells of all steps back over their step, on the RK4 substep
@@ -32,18 +31,44 @@ arithmetic is that of a per-cell build, so the arrays are bit-identical to
 one.
 
 The linearized step, the sensitivity march and the state march all apply
-these parts through one primitive; the adjoint applies T_j.T and solves with
-the transposed bands, so it is the exact transpose of the linear step by
-construction.
+these parts through one primitive; the adjoint applies T_j.T and the
+transposed diffusion solve, so it is the exact transpose of the linear step
+by construction.  The mass-budget oracle reads the transport through the
+same two transport primitives.
+
+Transport is numpy gathers.  The forward product gathers each row's three
+stencil columns of [u; b], multiplies by the weights and sums over the
+stencil from zero, in CSR's order: it equals a CSR matrix-vector product bit
+for bit.  The transpose is a padded gather built once per context: for each
+output cell, the rows whose stencil reads it, in row order (entries with a
+zero weight dropped, which cannot change a sum that starts from +0), and the
+newborn row is the weighted sum over all rows.
+
+Diffusion depends on Nx, which the code observes.  Up to
+DENSE_DIFFUSION_MAX_NX = 256 points the inverse of the diffusion matrix is
+computed once and applied as one matrix product, v @ Ainv.T forward and
+lam @ Ainv in the adjoint; both apply the same fixed matrix, so the adjoint
+stays the exact transpose.  Above it a Thomas sweep runs on factors computed
+once; it is LAPACK dgtsv's arithmetic wherever dgtsv does not pivot (which
+holds for k*dt/dx^2 below about 2) and needs no LAPACK.  The limit is set
+by reproducibility: on a 2-vCPU Haswell host with OpenBLAS 0.3.31, 256 is
+the largest Nx at which the product gives the same bits at one and at two
+BLAS threads (at 257, on 160 rows, they differ), so up to it a run does not
+depend on the thread count.  Timings there, one thread, 160 rows: at
+Nx = 256 the product costs 0.60 ms against dgtsv's 0.68 ms; at Nx = 512 the
+sweep costs 2.9 ms against dgtsv's 1.2 ms.  The dense path's last bits
+depend on the numpy and BLAS build, which the CLI manifest records.  The
+inverse holds Nx^2 floats, at most 512 KB.
 
 The step primitives accept a leading control axis: slices of shape
 (K, Ns, Nx) with controls of shape (K, Ns, Nt+1, Nx) march K controls at
-once, because the control enters only the renewal row.  T_j multiplies the
-stacked [u; b] seen as an (Ns+1, K*Nx) matrix and one dgtsv call solves all
-K*Ns diffusion systems.  Every member's arithmetic is the same operation for
-operation as a single march, so results are bit-identical to K separate
-solves; a slice without the leading axis is the same code with no batch
-dimension.  solve_states marches a batch and solve_state is its K = 1 case.
+once, because the control enters only the renewal row.  The gathers keep
+the leading axes; numpy's matmul runs one (Ns, Nx) x (Nx, Nx) product per
+member, and the Thomas sweep treats every row alike.  Every member's
+arithmetic is the same operation for operation as a single march, so
+results are bit-identical to K separate solves; a slice without the leading
+axis is the same code with no batch dimension.  solve_states marches a
+batch and solve_state is its K = 1 case.
 
 The brute-force oracle and the gradient check march their controls as
 batches.  The adjoint march, the contraction diagnostics (one state and one
@@ -58,8 +83,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
-from scipy.sparse import csr_array
 
 from .characteristics import RK4_SUBSTEPS, _bisect, _rk4_leg, trace_curve
 from .model import Field, Grid3, NumericalError, ValidatedScenario, control_array
@@ -83,19 +106,86 @@ def _neumann_bands(nx: int, dx: float, k: float,
     return sub, diag, sup
 
 
-def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
-                       rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs along the last (space) axis for every leading index.
+DENSE_DIFFUSION_MAX_NX = 256
 
-    One dgtsv call takes all rows as right-hand sides; without pivoting it
-    performs the Thomas elimination.  On the diffusion bands it pivots only
-    in the last row, and only when k*dt/dx^2 exceeds 1.37 (Nx = 3) to 2
-    (large Nx).  Swapping `sub` and `sup` solves with A^T.
+
+def _thomas_factors(sub: np.ndarray, diag: np.ndarray,
+                    sup: np.ndarray) -> tuple[list[float], list[float], list[float]]:
+    """Multipliers and pivots of the tridiagonal elimination without
+    pivoting, as dgtsv forms them: fact_i = sub_i / d_i,
+    d_{i+1} = diag_{i+1} - fact_i * sup_i."""
+    sub, sup = [float(v) for v in sub], [float(v) for v in sup]
+    fact, piv = [], [float(diag[0])]
+    for i in range(len(diag) - 1):
+        if piv[i] == 0.0:
+            break
+        fact.append(sub[i] / piv[i])
+        piv.append(float(diag[i + 1]) - fact[i] * sup[i])
+    if piv[-1] == 0.0:
+        raise NumericalError(
+            f"singular diffusion matrix (zero pivot in row {len(piv)} of {len(diag)})")
+    return fact, piv, sup
+
+
+def _thomas_solve(fact: list[float], piv: list[float], sup: list[float],
+                  rhs: np.ndarray) -> np.ndarray:
+    """Forward elimination and back substitution along the last axis, one
+    row of the system at a time over every right-hand side.  dgtsv's back
+    substitution also subtracts a zero multiple of the value two rows on,
+    which can only turn an exact -0 into +0; the sweep leaves that out."""
+    n = len(piv)
+    y = rhs.reshape(-1, n).T.copy()
+    for i in range(1, n):
+        y[i] -= fact[i - 1] * y[i - 1]
+    y[-1] /= piv[-1]
+    for i in range(n - 2, -1, -1):
+        y[i] -= sup[i] * y[i + 1]
+        y[i] /= piv[i]
+    return y.T.reshape(rhs.shape)
+
+
+class DiffusionSolve:
+    """Solves A x = rhs, or A^T x = rhs, along the last (space) axis for
+    every leading index, where A is the tridiagonal matrix of the bands
+    (sub, diag, sup).
+
+    Up to DENSE_DIFFUSION_MAX_NX points it applies the inverse, computed
+    once; above it runs the Thomas sweep on factors computed once (see the
+    module docstring for the limit).  A singular matrix raises
+    NumericalError.
+
+    The inverse decays geometrically away from the diagonal, and for a
+    small k*dt/dx^2 its far entries underflow to subnormal numbers, which
+    make the product about five times slower (2.7 against 0.51 ms on 160
+    rows at k*dt/dx^2 = 0.0256, Nx = 256).
+    Entries below sqrt(tiny), about 1.5e-154, are therefore set to zero:
+    then no product with a value above sqrt(tiny) is subnormal, and a
+    dropped entry can move a result only if the data span more than 138
+    decades.
     """
-    _, _, _, x, info = dgtsv(sub, diag, sup, rhs.reshape(-1, rhs.shape[-1]).T)
-    if info != 0:
-        raise NumericalError(f"tridiagonal diffusion solve failed (dgtsv info={info})")
-    return x.T.reshape(rhs.shape)
+
+    def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray):
+        self._inv = None
+        if len(diag) <= DENSE_DIFFUSION_MAX_NX:
+            a = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+            try:
+                self._inv = np.linalg.inv(a)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"singular diffusion matrix ({exc})") from None
+            self._inv[np.abs(self._inv) < math.sqrt(np.finfo(float).tiny)] = 0.0
+        else:
+            self._factors = _thomas_factors(sub, diag, sup)
+            self._factors_T = _thomas_factors(sup, diag, sub)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self._inv is not None:
+            return rhs @ self._inv.T
+        return _thomas_solve(*self._factors, rhs)
+
+    def solve_T(self, rhs: np.ndarray) -> np.ndarray:
+        if self._inv is not None:
+            return rhs @ self._inv
+        return _thomas_solve(*self._factors_T, rhs)
 
 
 def _divergence_integral(gamma: RateField, grid: Grid3, svals: np.ndarray,
@@ -137,16 +227,45 @@ def _entering_cells(gamma: RateField, grid: Grid3, jj: np.ndarray,
     return t_c, q, t_mid, s_mid
 
 
+def _transposed_gather(lo_idx: np.ndarray, hi_idx: np.ndarray, lo_w: np.ndarray,
+                       hi_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Padded gather of T_j.T over the cells, shape (Nt, D, Ns) each.
+
+    Entry [j, d, c] holds the row and weight of the d-th stencil entry that
+    reads cell c in step j, in row order and within a row lower cell first;
+    D is the most entries any cell has, and the padding has weight zero.
+    Entries with a zero weight are left out: adding +-0 to a sum that starts
+    from +0 changes no bit of it.
+    """
+    nt, ns = lo_idx.shape
+    cols = np.stack([lo_idx, hi_idx], axis=-1).reshape(nt, -1)
+    weights = np.stack([lo_w, hi_w], axis=-1).reshape(nt, -1)
+    jj, e = np.nonzero(weights)
+    c = cols[jj, e]
+    order = np.lexsort((e, c, jj))
+    jj, e, c = jj[order], e[order], c[order]
+    # rank of each entry among those of its (step, cell), in that order
+    _, first, count = np.unique(jj * ns + c, return_index=True, return_counts=True)
+    rank = np.arange(len(c)) - np.repeat(first, count)
+    depth = int(rank.max()) + 1 if len(rank) else 0
+    rows_T = np.zeros((nt, depth, ns), dtype=np.intp)
+    weights_T = np.zeros((nt, depth, ns))
+    rows_T[jj, rank, c] = e // 2
+    weights_T[jj, rank, c] = weights[jj, e]
+    return rows_T, weights_T
+
+
 class StepContext:
     """Precomputed stepping machinery for one validated scenario; the
     solvers read it from `vsc.step_context`, which builds it once.
 
-    `transport[j]` is the CSR matrix T_j (Ns x (Ns+1)); every row holds three
-    entries in a fixed order, the two interpolation weights at the
-    characteristic foot (premultiplied by the decay factor) and the
+    `stencil_cols[j]` and `stencil_weights[j]`, shape (Ns, 3), hold the
+    transport operator T_j (Ns x (Ns+1)): every row has three entries in a
+    fixed order, the two interpolation weights at the characteristic foot
+    (premultiplied by the decay factor) on cells below Ns, and the
     coefficient on the newborn boundary value in column Ns.  `E[j]` and
     `Fsrc[j]` are the reaction factor and feed over the effective reaction
-    interval, and `bands` the (sub, diag, sup) diffusion bands.
+    interval, and `diffusion` solves with the diffusion matrix.
 
     The step methods take a slice `u` of shape (..., Ns, Nx) and a control
     of shape (..., Ns, Nt+1, Nx) with the same leading axes, normally one
@@ -214,11 +333,9 @@ class StepContext:
                 gamma, grid, jj, ii)
             dt_eff[jj, ii] = t1[jj] - t_c
 
-        indptr = np.arange(0, 3 * ns + 1, 3)
-        cols = np.stack([lo_idx, hi_idx, np.full((nt, ns), ns)], axis=-1).reshape(nt, -1)
-        vals = np.stack([lo_w, hi_w, bnode_w], axis=-1).reshape(nt, -1)
-        self.transport = [csr_array((vals[j], cols[j], indptr), shape=(ns, ns + 1))
-                          for j in range(nt)]
+        self.stencil_cols = np.stack([lo_idx, hi_idx, np.full((nt, ns), ns)], axis=-1)
+        self.stencil_weights = np.stack([lo_w, hi_w, bnode_w], axis=-1)
+        self._rows_T, self._weights_T = _transposed_gather(lo_idx, hi_idx, lo_w, hi_w)
         # one rate evaluation per step: a single (Nt, Ns, Nx) one would hold
         # several temporaries of the full grid's size at once
         self.E = np.empty((nt, ns, nx))
@@ -230,10 +347,7 @@ class StepContext:
             self.E[j] = np.exp(-mu_mid * dt_eff[j, :, None])
             self.Fsrc[j] = f_mid * dt_eff[j, :, None]
 
-        # T_j.T shares T_j's arrays, but building the transposed matrix object
-        # costs more than the product itself on small grids: do it once
-        self._transport_T = [t.T for t in self.transport]
-        self.bands = _neumann_bands(nx, grid.dx, vsc.k, dt)
+        self.diffusion = DiffusionSolve(*_neumann_bands(nx, grid.dx, vsc.k, dt))
 
     # -- control-dependent pieces -------------------------------------------
 
@@ -256,18 +370,35 @@ class StepContext:
             return np.zeros(p_slice.shape[:-2] + p_slice.shape[-1:])
         return self.births(beta, j, p_slice) + self.C_grid[j] / self.gamma0_t[j]
 
+    def transport(self, j: int, u: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """T_j [u; b]: slice `u` (..., Ns, Nx) and newborn value `b` (..., Nx)
+        to (..., Ns, Nx).  One gather of the three stencil columns; the sum
+        over the stencil starts from +0 and adds in row order, as a CSR
+        product does."""
+        x = np.concatenate((u, b[..., None, :]), axis=-2)
+        terms = np.take(x, self.stencil_cols[j].T, axis=-2)
+        terms *= self.stencil_weights[j].T[:, :, None]
+        return terms.sum(axis=-3, initial=0.0)
+
+    def transport_T(self, j: int, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """T_j.T m for m of shape (..., Ns, Nx), split into the cell rows
+        (..., Ns, Nx) and the newborn row (..., Nx), the multiplier on the
+        newborn value.  Each output sums its stencil entries from +0 in row
+        order, as a CSR transpose product does; the newborn column holds the
+        third entry of every row and no other."""
+        terms = np.take(m, self._rows_T[j], axis=-2)
+        terms *= self._weights_T[j][:, :, None]
+        newborn = (m * self.stencil_weights[j, :, 2, None]).sum(axis=-2, initial=0.0)
+        return terms.sum(axis=-3, initial=0.0), newborn
+
     def _advance(self, j: int, u: np.ndarray, b: np.ndarray,
                  source: bool = False) -> np.ndarray:
         """Slice at level j+1 from slice `u` and newborn value `b` at level j:
         transport, reaction (with the feed when `source`) and diffusion."""
-        ns, nx = u.shape[-2:]
-        # [u; b] as (Ns+1, K*Nx): size first, then (control, space) in the columns
-        x = np.concatenate((u, b[..., None, :]), axis=-2).reshape(-1, ns + 1, nx).swapaxes(0, 1)
-        y = self.transport[j] @ x.reshape(ns + 1, -1)
-        v = self.E[j] * y.reshape(ns, -1, nx).swapaxes(0, 1).reshape(u.shape)
+        v = self.E[j] * self.transport(j, u, b)
         if source:
             v += self.Fsrc[j]
-        return _solve_tridiagonal(*self.bands, v)
+        return self.diffusion.solve(v)
 
     def step(self, beta: np.ndarray, j: int, p_slice: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Full affine step: returns (p at level j+1, newborn value at level j)."""
@@ -286,12 +417,9 @@ class StepContext:
         boundary value, which is the raw material for the adjoint trace at
         s = 0.
         """
-        sub, diag, sup = self.bands
-        m = self.E[j] * _solve_tridiagonal(sup, diag, sub, lam)
-        w = self._transport_T[j] @ m
-        out, yhat = w[:-1], w[-1]
+        out, yhat = self.transport_T(j, self.E[j] * self.diffusion.solve_T(lam))
         if self.has_renewal:
-            out += self.renewal_weights(beta, j) * yhat[None, :]
+            out += self.renewal_weights(beta, j) * yhat[..., None, :]
         return out, yhat
 
 
@@ -311,8 +439,8 @@ def step_diffusion(p_tilde: Field, k: float, dt: float) -> Field:
     if not k > 0:
         raise ValueError("diffusion coefficient must be positive")
     grid = p_tilde.grid
-    bands = _neumann_bands(grid.Nx, grid.dx, k, dt)
-    return Field(grid, p_tilde.axes, _solve_tridiagonal(*bands, p_tilde.values))
+    diffusion = DiffusionSolve(*_neumann_bands(grid.Nx, grid.dx, k, dt))
+    return Field(grid, p_tilde.axes, diffusion.solve(p_tilde.values))
 
 
 def total_population(p: Field) -> np.ndarray:

@@ -91,7 +91,7 @@ def oracle_pure_transport() -> dict:
 def mass_budget_residuals(vsc: ValidatedScenario, beta):
     """Per-step residuals of two mass budgets.
 
-    discrete: departures read from the column sums of the transport matrix
+    discrete: departures read from the column sums of the transport operator
     plus the reaction and renewal bookkeeping reproduce P(t_{j+1}) - P(t_j) exactly
     (diffusion conserves mass); catches mass leaks in the marching.
     physical: time-centered rate-based budget
@@ -115,14 +115,15 @@ def mass_budget_residuals(vsc: ValidatedScenario, beta):
     discrete = np.empty(grid.Nt)
     physical = np.empty(grid.Nt)
     for j in range(grid.Nt):
-        # column sums of T_j: the share of each cell that stays in the size
-        # domain, and in the last entry the total weight on the newborn value
-        colsum = ctx.transport[j].sum(axis=0)
+        # column sums of T_j (its transpose applied to ones): the share of
+        # each cell that stays in the size domain, and the total weight on
+        # the newborn value
+        colsum, colsum_newborn = ctx.transport_T(j, np.ones((grid.Ns, 1)))
         pj = p[:, j, :]
         b = nb[j]
-        v = ctx.transport[j] @ np.vstack((pj, b))
-        outflow_d = float((((1.0 - colsum[:-1])[:, None] * pj) * wx[None, :]).sum() * ds)
-        births_d = float((colsum[-1] * b * wx).sum() * ds)
+        v = ctx.transport(j, pj, b)
+        outflow_d = float((((1.0 - colsum) * pj) * wx[None, :]).sum() * ds)
+        births_d = float((colsum_newborn * b * wx).sum() * ds)
         deaths_d = float((((1.0 - ctx.E[j]) * v) * wx[None, :]).sum() * ds)
         feed_d = float((ctx.Fsrc[j] * wx[None, :]).sum() * ds)
         discrete[j] = (P[j + 1] - P[j]) - (births_d + feed_d - deaths_d - outflow_d)

@@ -73,13 +73,13 @@ class TestIntegrate:
 
 class TestEnteringDecay:
     """Decay factors of the cells whose characteristic entered through s = 0
-    during their step, read from StepContext's transport rows: the two
+    during their step, read from StepContext's transport stencil: the two
     interpolation weights are zero and the newborn weight is the factor."""
 
     @staticmethod
     def weights(vsc):
         """(lo, hi, newborn) transport weights, each of shape (Nt, Ns)."""
-        w = np.stack([t.data.reshape(-1, 3) for t in vsc.step_context.transport])
+        w = vsc.step_context.stencil_weights
         return w[..., 0], w[..., 1], w[..., 2]
 
     def test_size_independent_growth_gives_one(self):

@@ -120,6 +120,7 @@ class TestSubcommands:
         assert manifest["subcommand"] == "simulate"
         assert set(manifest["artifacts"]) == {"p.csv", "newborns.csv", "population.csv"}
         assert all(len(v) == 64 for v in manifest["artifacts"].values())
+        assert set(manifest["versions"]) == {"sizepop", "python", "numpy"}
         _assert_manifest_checksums(out, {"p.csv", "newborns.csv", "population.csv"})
 
     def test_simulate_deterministic(self, tmp_path):
@@ -401,10 +402,11 @@ def test_failures_exit_with_one_line(tmp_path, capsys, monkeypatch, case, code, 
     assert "Traceback" not in err
 
 
-def _run_python(*args) -> subprocess.CompletedProcess:
-    """A fresh interpreter with this checkout's package on its path."""
+def _run_python(*args, env=None) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this checkout's package on its path and the
+    variables in `env` set."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=120)
@@ -426,10 +428,32 @@ def test_numpy_warnings_do_not_reach_stderr(tmp_path):
 
 
 def test_import_leaves_scipy_interpolate_unloaded():
-    probe = "import sys, sizepop.cli; print(sorted(m for m in sys.modules if 'interpolate' in m))"
+    # the package runs on numpy alone: no scipy module at all, which also
+    # keeps scipy.interpolate out
+    probe = "import sys, sizepop.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
     done = _run_python("-c", probe)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_dense_diffusion_is_the_same_at_one_and_two_blas_threads():
+    # the largest grid on the dense diffusion path, with enough rows that a
+    # threaded BLAS product would split the work (one past the limit, 160
+    # rows give other bits at two threads)
+    probe = (
+        "import hashlib; from sizepop.adjoint import solve_adjoint; "
+        "from sizepop.forward import DENSE_DIFFUSION_MAX_NX, solve_state; "
+        "from sizepop.presets import smooth_default; "
+        "vsc = smooth_default(160, 2, DENSE_DIFFUSION_MAX_NX); "
+        "st = solve_state(vsc, 0.4); adj = solve_adjoint(vsc, st); "
+        "print(hashlib.sha256(st.p.values.tobytes() + adj.phi.values.tobytes()).hexdigest())"
+    )
+    digests = set()
+    for threads in ("1", "2"):
+        done = _run_python("-c", probe, env={"OPENBLAS_NUM_THREADS": threads})
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
 
 
 def _corrupt_adjoint(monkeypatch) -> None:

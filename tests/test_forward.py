@@ -11,7 +11,13 @@ import pytest
 import sizepop as sp
 from sizepop import oracles
 from sizepop import rates as rate_lib
-from sizepop.forward import StepContext, _solve_tridiagonal, step_diffusion, total_population
+from sizepop.forward import (
+    DENSE_DIFFUSION_MAX_NX,
+    DiffusionSolve,
+    StepContext,
+    step_diffusion,
+    total_population,
+)
 from sizepop.model import (
     ControlBounds,
     Field,
@@ -57,7 +63,7 @@ class TestComputeRenewal:
         ctx = vsc.step_context
         assert not ctx.has_renewal
         assert np.abs(self.newborn(vsc, 1.0)).max() == 0.0
-        assert all(t.sum(axis=0)[-1] == 0.0 for t in ctx.transport)
+        assert all(w[:, 2].sum() == 0.0 for w in ctx.stencil_weights)
 
 
 class TestStepTransportReaction:
@@ -121,8 +127,28 @@ class TestStepDiffusion:
 
     def test_singular_bands_raise_numerical_error(self):
         ones = np.ones(1)
-        with pytest.raises(NumericalError, match="dgtsv info=2"):
-            _solve_tridiagonal(ones, np.ones(2), ones, np.ones((3, 2)))
+        with pytest.raises(NumericalError, match="singular diffusion matrix"):
+            DiffusionSolve(ones, np.ones(2), ones)
+
+    def test_dense_inverse_holds_no_subnormal_entry(self):
+        # a small k*dt/dx^2 makes the inverse decay below the normal range
+        # within 256 points; a subnormal entry makes every product slow
+        n = DENSE_DIFFUSION_MAX_NX
+        a = 0.0256
+        inv = np.linalg.inv(np.diag(np.full(n, 1.0 + 2.0 * a)) + np.diag(np.full(n - 1, -a), 1)
+                            + np.diag(np.full(n - 1, -a), -1))
+        assert ((inv != 0.0) & (np.abs(inv) < np.finfo(float).tiny)).any()
+        sub = np.full(n - 1, -a)
+        entries = np.abs(DiffusionSolve(sub, np.full(n, 1.0 + 2.0 * a), sub)._inv)
+        assert not ((entries != 0.0) & (entries < np.finfo(float).tiny)).any()
+
+    def test_zero_thomas_pivot_raises_numerical_error(self):
+        # rows 1 and 2 equal: the sweep above the dense limit meets a zero
+        # pivot in row 2
+        n = DENSE_DIFFUSION_MAX_NX + 2
+        ones = np.ones(n - 1)
+        with pytest.raises(NumericalError, match="singular diffusion matrix.*row 2 of"):
+            DiffusionSolve(ones, np.ones(n), ones)
 
 
 class TestSolveState:

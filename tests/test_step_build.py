@@ -6,7 +6,7 @@ crossing times of all entering cells in lockstep.  The reference below
 builds the same arrays one step at a time: one trace per step, one Python
 branch per cell, and one scalar bisection and one node-by-node decay factor
 per entering cell.  The arithmetic of every cell is the same, so the
-transport matrices, E and Fsrc must agree bit for bit.
+transport stencils, E and Fsrc must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ def entering_decay(gamma, grid, t_c, t1, s):
 
 
 def reference_build(vsc):
-    """(transport [(data, indices, indptr)], E, Fsrc, case counts), step by
-    step and cell by cell."""
+    """(transport [(weights, cols)], E, Fsrc, case counts), step by step and
+    cell by cell."""
     grid = vsc.grid
     gamma = vsc.rates.gamma
     has_renewal = vsc.growth_case.has_renewal
@@ -80,7 +80,6 @@ def reference_build(vsc):
     ds, dt = grid.ds, grid.dt
     s = grid.s_centers
     transport = []
-    indptr = np.arange(0, 3 * ns + 1, 3)
     E = np.empty((nt, ns, nx))
     Fsrc = np.empty((nt, ns, nx))
     cases = {"entering": 0, "interior": 0, "blend": 0, "extrapolate": 0}
@@ -134,9 +133,9 @@ def reference_build(vsc):
                 else:
                     cases["extrapolate"] += 1
                     lo_w[i] = q
-        cols = np.stack([lo_idx, hi_idx, np.full(ns, ns)], axis=1).ravel()
-        vals = np.stack([lo_w, hi_w, bnode_w], axis=1).ravel()
-        transport.append((vals, cols, indptr))
+        cols = np.stack([lo_idx, hi_idx, np.full(ns, ns)], axis=1)
+        vals = np.stack([lo_w, hi_w, bnode_w], axis=1)
+        transport.append((vals, cols))
         mu_mid = vsc.rates.mu(s=s_mid[:, None], t=t_mid[:, None], x=grid.x_points[None, :])
         f_mid = vsc.rates.f(s=s_mid[:, None], t=t_mid[:, None], x=grid.x_points[None, :])
         E[j] = np.exp(-mu_mid * dt_eff[:, None])
@@ -161,11 +160,10 @@ def test_build_matches_per_cell_reference(name):
     vsc = SCENARIOS[name]()
     ctx = vsc.step_context
     transport, E, Fsrc, _ = reference_build(vsc)
-    assert len(ctx.transport) == len(transport)
-    for got, (data, indices, indptr) in zip(ctx.transport, transport):
-        assert np.array_equal(got.data, data)
-        assert np.array_equal(got.indices, indices)
-        assert np.array_equal(got.indptr, indptr)
+    assert len(ctx.stencil_weights) == len(ctx.stencil_cols) == len(transport)
+    for got_w, got_c, (weights, cols) in zip(ctx.stencil_weights, ctx.stencil_cols, transport):
+        assert np.array_equal(got_w, weights)
+        assert np.array_equal(got_c, cols)
     assert np.array_equal(ctx.E, E)
     assert np.array_equal(ctx.Fsrc, Fsrc)
 

@@ -1,13 +1,16 @@
-"""The sparse step operator against a loop reference of the same scheme.
+"""The step operator against a loop reference of the same scheme.
 
-The reference gathers the interpolation stencil with fancy indexing,
-scatters the adjoint with np.add.at and solves the diffusion bands with a
-Thomas loop.  It reads the stencil weights out of StepContext.transport
-(three entries per row: lower cell, upper cell, newborn column) and the
-reaction arrays E and Fsrc, so it checks how the step applies them, not how
-they were built.  The forward arithmetic is the same operation for
-operation, so the state must agree bit for bit; the adjoint scatter sums in
-another order and is held to 1e-14 relative.
+The reference gathers the interpolation stencil with fancy indexing and
+scatters the adjoint with np.add.at.  It reads the stencil out of
+StepContext's stencil_cols and stencil_weights (three entries per row: lower
+cell, upper cell, newborn column) and the reaction arrays E and Fsrc, so it
+checks how the step applies them, not how they were built.  Its diffusion
+follows the scheme: up to DENSE_DIFFUSION_MAX_NX points the product with the
+inverse of the diffusion matrix, above it a Thomas loop.  The forward
+arithmetic is the same operation for operation, so the state must agree bit
+for bit.  On the dense path the state is also held to a Thomas loop at
+1e-14 relative, and the adjoint, whose reference scatters in another order
+and always solves with a Thomas loop, is held to 1e-14 relative.
 
 The batched march, the brute-force search and the gradient check are held to
 the same standard against per-control loops: every batch member's arithmetic
@@ -21,7 +24,7 @@ import pytest
 
 from sizepop import rates as rate_lib
 from sizepop.adjoint import solve_adjoint
-from sizepop.forward import solve_state, solve_states
+from sizepop.forward import DENSE_DIFFUSION_MAX_NX, solve_state, solve_states
 from sizepop.model import Grid3, NumericalError
 from sizepop.optimizer import evaluate_cost, evaluate_costs, gradient_field
 from sizepop.oracles import brute_force_search, gradient_check
@@ -57,10 +60,33 @@ def bands(vsc):
     return sub, np.full(grid.Nx, 1.0 + 2.0 * a), sup
 
 
+def dense_inverse(vsc):
+    sub, diag, sup = bands(vsc)
+    n = len(diag)
+    a = np.zeros((n, n))
+    a[np.arange(n), np.arange(n)] = diag
+    a[np.arange(1, n), np.arange(n - 1)] = sub
+    a[np.arange(n - 1), np.arange(1, n)] = sup
+    inv = np.linalg.inv(a)
+    inv[np.abs(inv) < np.sqrt(np.finfo(float).tiny)] = 0.0
+    return inv
+
+
+def thomas_diffusion(vsc):
+    return lambda rhs: thomas(*bands(vsc), rhs)
+
+
+def scheme_diffusion(vsc):
+    """The diffusion solve the state march uses for this grid."""
+    if vsc.grid.Nx > DENSE_DIFFUSION_MAX_NX:
+        return thomas_diffusion(vsc)
+    inv = dense_inverse(vsc)
+    return lambda rhs: rhs @ inv.T
+
+
 def stencil(ctx, j):
-    t = ctx.transport[j]
-    cols = t.indices.reshape(-1, 3)
-    w = t.data.reshape(-1, 3)
+    cols = ctx.stencil_cols[j]
+    w = ctx.stencil_weights[j]
     return cols[:, 0], cols[:, 1], w[:, 0], w[:, 1], w[:, 2]
 
 
@@ -68,10 +94,10 @@ def renewal(vsc, beta, j):
     return vsc.r_grid[:, j, :] * beta[:, j, :] * (vsc.grid.ds / vsc.gamma0_t[j])
 
 
-def reference_state(vsc, beta):
+def reference_state(vsc, beta, diffuse=None):
     ctx = vsc.step_context
     grid = vsc.grid
-    sub, diag, sup = bands(vsc)
+    diffuse = diffuse or scheme_diffusion(vsc)
     p = np.empty((grid.Ns, grid.Nt + 1, grid.Nx))
     p[:, 0, :] = vsc.p0_grid
     for j in range(grid.Nt):
@@ -82,7 +108,7 @@ def reference_state(vsc, beta):
         else:
             b = np.zeros(grid.Nx)
         v = lo_w[:, None] * pj[lo, :] + hi_w[:, None] * pj[hi, :] + b_w[:, None] * b[None, :]
-        p[:, j + 1, :] = thomas(sub, diag, sup, ctx.E[j] * v + ctx.Fsrc[j])
+        p[:, j + 1, :] = diffuse(ctx.E[j] * v + ctx.Fsrc[j])
     return p
 
 
@@ -119,6 +145,7 @@ def growth_case_c():
 
 SCENARIOS = {
     "smooth_default": lambda: smooth_default(20, 20, 10),
+    "smooth_default_wide": lambda: smooth_default(6, 4, DENSE_DIFFUSION_MAX_NX + 44),
     "brute_force_instance": brute_force_instance,
     **{f"tiny_random_{s}": (lambda s=s: tiny_random(seed=s)) for s in range(5)},
     "growth_case_c": growth_case_c,
@@ -133,6 +160,9 @@ def test_step_operator_matches_loop_reference(name):
 
     state = solve_state(vsc, beta)
     assert np.array_equal(state.p.values, reference_state(vsc, beta))
+    if grid.Nx <= DENSE_DIFFUSION_MAX_NX:
+        want = reference_state(vsc, beta, thomas_diffusion(vsc))
+        assert np.abs(state.p.values - want).max() <= 1e-14 * np.abs(want).max()
 
     adj = solve_adjoint(vsc, state)
     phi, phi0 = reference_adjoint(vsc, beta)
@@ -140,7 +170,7 @@ def test_step_operator_matches_loop_reference(name):
         assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1e-300)
 
 
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", [1, 3, 5])
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_batched_march_matches_separate_solves(name, n):
     vsc = SCENARIOS[name]()
