@@ -4,12 +4,14 @@ adjoint-based optimal fertility control."""
 from .adjoint import (
     AdjointSolution,
     duality_residual,
+    march_adjoint,
     solve_adjoint,
     solve_sensitivity,
 )
 from .forward import (
     StateSolution,
     StepContext,
+    march_states,
     solve_state,
     solve_states,
     step_diffusion,
@@ -38,7 +40,6 @@ from .optimizer import (
     fixed_point_update,
     gradient_field,
     optimize,
-    project_F,
 )
 
 __version__ = "0.1.0"

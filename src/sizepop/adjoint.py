@@ -6,9 +6,12 @@ than a separate discretization of a continuous dual system.  Both directions
 use the scenario's one StepContext, built once per validated scenario and
 read from `vsc.step_context`: the adjoint step applies the transposed
 diffusion solve, the reaction factor and T_j.T, and the sensitivity march
-advances through the same primitive as the state march.  Neither takes a
-control: both use `state.beta`, the control the state was solved with.
-That choice buys two machine-precision identities the optimizer relies on:
+advances through the same primitive as the state march.  march_adjoint
+hands over one time level at a time and reads only the control, because
+the cost is linear in the state; solve_adjoint stores every level.  Neither
+solve_adjoint nor solve_sensitivity takes a control: both use `state.beta`,
+the control the state was solved with.  That choice buys two
+machine-precision identities the optimizer relies on:
 
   * one-step duality  <forward_step(u), v> = <u, adjoint_step(v)>,
   * the pairing  -c * integral(z) = integral(delta * r * p * phi0)
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import StateSolution
+from .forward import StateSolution, _check_level, level_slice
 from .model import Field, ValidatedScenario, control_array
 
 
@@ -52,8 +55,9 @@ def _check_state_match(vsc: ValidatedScenario, state: StateSolution) -> None:
         raise ValueError("state was solved on a different grid")
 
 
-def solve_adjoint(vsc: ValidatedScenario, state: StateSolution) -> AdjointSolution:
-    """Backward march of the transposed one-step operator.
+def march_adjoint(vsc: ValidatedScenario, betas):
+    """Backward march of the transposed one-step operator, handing over each
+    time level.
 
     The running source is the derivative of the population term of the cost
     with respect to the density (one per unit (s,t,x) volume), accumulated
@@ -61,31 +65,55 @@ def solve_adjoint(vsc: ValidatedScenario, state: StateSolution) -> AdjointSoluti
     carries zero weight, so phi(., T, .) = 0 exactly.  In growth cases with
     a size exit (a/c) the transpose never propagates information from beyond
     s_f, which realizes the zero boundary value there structurally.  The
-    control is the one the state was solved with.
+    state never enters: the cost is linear in p, so the adjoint depends on
+    the control alone.
+
+    `betas` is a control of shape (..., Ns, Nt+1, Nx), or a list of K
+    controls that march as a batch, as in forward.march_states.  Yields
+    (j, phi_j, phi0_j) for j = Nt, ..., 0: the adjoint slice, shape
+    (..., Ns, Nx), and its newborn-boundary trace, shape (..., Nx), which is
+    zero in cases without a renewal boundary.  A non-finite value in either
+    aborts the march.
     """
-    _check_state_match(vsc, state)
     ctx = vsc.step_context
     grid = vsc.grid
-
     c = vsc.cost.c
     wx = grid.space_weights() * grid.dx
     source = grid.ds * grid.dt * wx[None, :] * np.ones((grid.Ns, 1))
-    lam = np.zeros((grid.Ns, grid.Nx))
-    phi = np.zeros((grid.Ns, grid.Nt + 1, grid.Nx))
-    phi0 = np.zeros((grid.Nt + 1, grid.Nx))
+    cell_volume = grid.ds * wx[None, :]
+    lead = level_slice(betas, grid.Nt).shape[:-2]
+    lam = np.zeros(lead + (grid.Ns, grid.Nx))
+    yield grid.Nt, np.zeros_like(lam), np.zeros(lead + (grid.Nx,))
     for j in range(grid.Nt - 1, -1, -1):
-        lam, yhat = ctx.apply_step_adjoint(state.beta, j, lam)
+        lam, yhat = ctx.apply_step_adjoint(j, level_slice(betas, j), lam)
         lam = lam + source
-        phi[:, j, :] = -c * lam / (grid.ds * wx[None, :])
+        phi_j = -c * lam / cell_volume
+        _check_level(phi_j, "adjoint", j)
         if ctx.has_renewal:
-            phi0[j] = -c * yhat / (vsc.gamma0_t[j] * grid.dt * wx)
-    out = AdjointSolution(
+            phi0_j = -c * yhat / (vsc.gamma0_t[j] * grid.dt * wx)
+            _check_level(phi0_j, "adjoint trace", j, axes=("k",))
+        else:
+            phi0_j = np.zeros(lead + (grid.Nx,))
+        yield j, phi_j, phi0_j
+
+
+def solve_adjoint(vsc: ValidatedScenario, state: StateSolution) -> AdjointSolution:
+    """The adjoint field and its trace at the control the state was solved
+    with, storing every level of march_adjoint."""
+    _check_state_match(vsc, state)
+    grid = vsc.grid
+    # the march builds the step context on first use; building it before the
+    # output exists keeps the build's peak and the output apart
+    vsc.step_context
+    phi = np.empty((grid.Ns, grid.Nt + 1, grid.Nx))
+    phi0 = np.empty((grid.Nt + 1, grid.Nx))
+    for j, phi_j, phi0_j in march_adjoint(vsc, state.beta):
+        phi[:, j, :] = phi_j
+        phi0[j] = phi0_j
+    return AdjointSolution(
         phi=Field(grid, ("size", "time", "space"), phi),
         phi_at_zero=Field(grid, ("time", "space"), phi0),
     )
-    out.phi.check_finite()
-    out.phi_at_zero.check_finite()
-    return out
 
 
 def solve_sensitivity(vsc: ValidatedScenario, state: StateSolution, delta) -> Field:
@@ -106,7 +134,8 @@ def solve_sensitivity(vsc: ValidatedScenario, state: StateSolution, delta) -> Fi
     p = state.p.values
     z = np.zeros((grid.Ns, grid.Nt + 1, grid.Nx))
     for j in range(grid.Nt):
-        b = ctx.births(state.beta, j, z[:, j, :]) + ctx.births(delta_arr, j, p[:, j, :])
+        b = (ctx.births(j, state.beta[:, j, :], z[:, j, :])
+             + ctx.births(j, delta_arr[:, j, :], p[:, j, :]))
         z[:, j + 1, :] = ctx._advance(j, z[:, j, :], b)
     out = Field(grid, ("size", "time", "space"), z)
     out.check_finite()

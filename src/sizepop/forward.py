@@ -60,21 +60,22 @@ sweep costs 2.9 ms against dgtsv's 1.2 ms.  The dense path's last bits
 depend on the numpy and BLAS build, which the CLI manifest records.  The
 inverse holds Nx^2 floats, at most 512 KB.
 
-The step primitives accept a leading control axis: slices of shape
-(K, Ns, Nx) with controls of shape (K, Ns, Nt+1, Nx) march K controls at
-once, because the control enters only the renewal row.  The gathers keep
-the leading axes; numpy's matmul runs one (Ns, Nx) x (Nx, Nx) product per
-member, and the Thomas sweep treats every row alike.  Every member's
-arithmetic is the same operation for operation as a single march, so
-results are bit-identical to K separate solves; a slice without the leading
-axis is the same code with no batch dimension.  solve_states marches a
-batch and solve_state is its K = 1 case.
+The step primitives take the control's level slice, shape (..., Ns, Nx),
+never the whole control: the control enters only the renewal row, so a
+step needs no other level of it.  A leading axis K marches K controls at
+once.  The gathers keep the leading axes; numpy's matmul runs one
+(Ns, Nx) x (Nx, Nx) product per member, and the Thomas sweep treats every
+row alike.  Every member's arithmetic is the same operation for operation
+as a single march, so results are bit-identical to K separate solves; a
+slice without the leading axis is the same code with no batch dimension.
 
-The brute-force oracle and the gradient check march their controls as
-batches.  The adjoint march, the contraction diagnostics (one state and one
-adjoint per sample) and the two-start uniqueness check (two separate
-optimizations) stay at one control per call: a batched adjoint would hold
-one phi field per member at once, 13 MB each at 160x160x64.
+march_states marches the state forward and hands over each time level as
+it is reached; adjoint.march_adjoint does the same backward.  A caller that
+needs the whole field stores the levels (solve_states, solve_state,
+solve_adjoint); the optimizer's sweep and its contraction diagnostics keep
+only what they reduce each level to, so they hold no full state or adjoint
+field.  A batch given as separate controls is stacked one level slice per
+step, never as a (K, Ns, Nt+1, Nx) copy.
 """
 
 from __future__ import annotations
@@ -267,9 +268,9 @@ class StepContext:
     `Fsrc[j]` are the reaction factor and feed over the effective reaction
     interval, and `diffusion` solves with the diffusion matrix.
 
-    The step methods take a slice `u` of shape (..., Ns, Nx) and a control
-    of shape (..., Ns, Nt+1, Nx) with the same leading axes, normally one
-    control axis K; newborn values then have shape (..., Nx).
+    The step methods take a level j, the control's level slice `beta_j` and
+    a slice `u`, both of shape (..., Ns, Nx) with the same leading axes,
+    normally one control axis K; newborn values then have shape (..., Nx).
     """
 
     def __init__(self, vsc: ValidatedScenario):
@@ -351,24 +352,24 @@ class StepContext:
 
     # -- control-dependent pieces -------------------------------------------
 
-    def renewal_weights(self, beta: np.ndarray, j: int) -> np.ndarray:
+    def renewal_weights(self, j: int, beta_j: np.ndarray) -> np.ndarray:
         """Coefficients of the birth integral at level j: r*beta*ds/gamma(0,t)."""
-        return self.r_grid[:, j, :] * beta[..., j, :] * (self.ds / self.gamma0_t[j])
+        return self.r_grid[:, j, :] * beta_j * (self.ds / self.gamma0_t[j])
 
-    def births(self, beta: np.ndarray, j: int, u: np.ndarray) -> np.ndarray:
+    def births(self, j: int, beta_j: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Renewal row applied to a slice: the birth integral over size.
 
         Zero in growth cases c/d, which have no renewal boundary.
         """
         if not self.has_renewal:
             return np.zeros(u.shape[:-2] + u.shape[-1:])
-        return (self.renewal_weights(beta, j) * u).sum(axis=-2)
+        return (self.renewal_weights(j, beta_j) * u).sum(axis=-2)
 
-    def newborn_value(self, beta: np.ndarray, j: int, p_slice: np.ndarray) -> np.ndarray:
+    def newborn_value(self, j: int, beta_j: np.ndarray, p_slice: np.ndarray) -> np.ndarray:
         """Boundary density p(0, t_j, x) from immigration plus births."""
         if not self.has_renewal:
             return np.zeros(p_slice.shape[:-2] + p_slice.shape[-1:])
-        return self.births(beta, j, p_slice) + self.C_grid[j] / self.gamma0_t[j]
+        return self.births(j, beta_j, p_slice) + self.C_grid[j] / self.gamma0_t[j]
 
     def transport(self, j: int, u: np.ndarray, b: np.ndarray) -> np.ndarray:
         """T_j [u; b]: slice `u` (..., Ns, Nx) and newborn value `b` (..., Nx)
@@ -400,16 +401,17 @@ class StepContext:
             v += self.Fsrc[j]
         return self.diffusion.solve(v)
 
-    def step(self, beta: np.ndarray, j: int, p_slice: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def step(self, j: int, beta_j: np.ndarray,
+             p_slice: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Full affine step: returns (p at level j+1, newborn value at level j)."""
-        b = self.newborn_value(beta, j, p_slice)
+        b = self.newborn_value(j, beta_j, p_slice)
         return self._advance(j, p_slice, b, source=True), b
 
-    def apply_step_linear(self, beta: np.ndarray, j: int, u: np.ndarray) -> np.ndarray:
+    def apply_step_linear(self, j: int, beta_j: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Linear part of the one-step map (immigration and feed dropped)."""
-        return self._advance(j, u, self.births(beta, j, u))
+        return self._advance(j, u, self.births(j, beta_j, u))
 
-    def apply_step_adjoint(self, beta: np.ndarray, j: int,
+    def apply_step_adjoint(self, j: int, beta_j: np.ndarray,
                            lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact transpose of apply_step_linear.
 
@@ -419,7 +421,7 @@ class StepContext:
         """
         out, yhat = self.transport_T(j, self.E[j] * self.diffusion.solve_T(lam))
         if self.has_renewal:
-            out += self.renewal_weights(beta, j) * yhat[..., None, :]
+            out += self.renewal_weights(j, beta_j) * yhat[..., None, :]
         return out, yhat
 
 
@@ -450,6 +452,69 @@ def total_population(p: Field) -> np.ndarray:
     return (p.values * w[None, None, :]).sum(axis=(0, 2)) * grid.ds
 
 
+def level_slice(betas, j: int) -> np.ndarray:
+    """Level j of a control of shape (..., Ns, Nt+1, Nx), or of a list of
+    controls of shape (Ns, Nt+1, Nx) stacked on a leading axis."""
+    if isinstance(betas, np.ndarray):
+        return betas[..., j, :]
+    return np.stack([b[:, j, :] for b in betas])
+
+
+def _check_level(values: np.ndarray, what: str, j: int, axes=("i", "k")) -> None:
+    """NumericalError at the first non-finite entry of level j of a field,
+    given as a slice whose last axes are `axes` (size i, space k); a leading
+    axis holds batch members, named when there are several."""
+    if np.isfinite(values).all():
+        return
+    idx = [int(v) for v in np.argwhere(~np.isfinite(values))[0]]
+    lead = values.ndim - len(axes)
+    where = dict(zip(axes, idx[lead:]), j=j)
+    cell = ", ".join(f"{a}={where[a]}" for a in ("i", "j", "k") if a in where)
+    member = f" in batch member {idx[0]}" if lead and values.shape[0] > 1 else ""
+    raise NumericalError(f"non-finite {what}{member} at ({cell})")
+
+
+def march_states(vsc: ValidatedScenario, betas):
+    """March controls from the initial slice to the horizon, handing over
+    each time level.
+
+    `betas` is a control of shape (..., Ns, Nt+1, Nx), or a list of K
+    controls of shape (Ns, Nt+1, Nx) that march as a batch.  Yields
+    (j, p_j, b_j) for j = 0, ..., Nt: the density slice, shape (..., Ns, Nx),
+    and the newborn boundary value, shape (..., Nx); for cases without a
+    renewal boundary that is the constant extrapolation of the first size
+    cell.  Level j is handed over once level j+1 is computed and found
+    finite; the first non-finite value aborts the march.  The slices are
+    not written to afterwards, so a consumer may keep them.
+    """
+    ctx = vsc.step_context
+    nt = vsc.grid.Nt
+    beta_j = level_slice(betas, 0)
+    p_j = np.broadcast_to(vsc.p0_grid, beta_j.shape)
+    for j in range(nt):
+        p_next, b = ctx.step(j, beta_j, p_j)
+        _check_level(p_next, "density", j + 1)
+        yield j, p_j, (b if ctx.has_renewal else p_j[..., 0, :])
+        p_j, beta_j = p_next, level_slice(betas, j + 1)
+    yield nt, p_j, (ctx.newborn_value(nt, beta_j, p_j) if ctx.has_renewal else p_j[..., 0, :])
+
+
+def _stored_states(vsc: ValidatedScenario, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every level of march_states for a control array: the densities,
+    shape (..., Ns, Nt+1, Nx), and the newborn traces, (..., Nt+1, Nx)."""
+    grid = vsc.grid
+    lead = betas.shape[:-3]
+    # the march builds the step context on first use; building it before the
+    # output exists keeps the build's peak and the output apart
+    vsc.step_context
+    p = np.empty(lead + (grid.Ns, grid.Nt + 1, grid.Nx))
+    newborn = np.empty(lead + (grid.Nt + 1, grid.Nx))
+    for j, p_j, b_j in march_states(vsc, betas):
+        p[..., j, :] = p_j
+        newborn[..., j, :] = b_j
+    return p, newborn
+
+
 def solve_states(vsc: ValidatedScenario, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """March K controls at once from the initial slice to the horizon.
 
@@ -459,43 +524,24 @@ def solve_states(vsc: ValidatedScenario, betas: np.ndarray) -> tuple[np.ndarray,
     extrapolation of the first size cell.  Aborts on the first non-finite
     value, naming the batch member when K > 1.
     """
-    ctx = vsc.step_context
     grid = vsc.grid
     betas = np.asarray(betas, dtype=float)
     if betas.ndim != 4 or betas.shape[1:] != (grid.Ns, grid.Nt + 1, grid.Nx):
         raise ValueError(f"control batch shape {betas.shape} != "
                          f"(K, {grid.Ns}, {grid.Nt + 1}, {grid.Nx})")
-    n = betas.shape[0]
-    p = np.empty((n, grid.Ns, grid.Nt + 1, grid.Nx))
-    newborn = np.empty((n, grid.Nt + 1, grid.Nx))
-    p[:, :, 0, :] = vsc.p0_grid
-    for j in range(grid.Nt):
-        p_next, b = ctx.step(betas, j, p[:, :, j, :])
-        if not np.isfinite(p_next).all():
-            m, i, k = np.argwhere(~np.isfinite(p_next))[0]
-            member = f" in batch member {m}" if n > 1 else ""
-            raise NumericalError(f"non-finite density{member} at (i={i}, j={j + 1}, k={k})")
-        newborn[:, j] = b if ctx.has_renewal else p[:, 0, j, :]
-        p[:, :, j + 1, :] = p_next
-    newborn[:, grid.Nt] = (
-        ctx.newborn_value(betas, grid.Nt, p[:, :, grid.Nt, :])
-        if ctx.has_renewal else p[:, 0, grid.Nt, :]
-    )
-    return p, newborn
+    return _stored_states(vsc, betas)
 
 
 def solve_state(vsc: ValidatedScenario, beta) -> StateSolution:
-    """March the density from the initial slice to the horizon.
-
-    The K = 1 case of solve_states.
-    """
+    """March the density from the initial slice to the horizon, storing
+    every level of march_states."""
     grid = vsc.grid
     beta_arr = control_array(grid, beta)
-    p, newborn = solve_states(vsc, beta_arr[None])
+    p, newborn = _stored_states(vsc, beta_arr)
     beta_frozen = beta_arr.copy()
     beta_frozen.flags.writeable = False
     return StateSolution(
-        p=Field(grid, ("size", "time", "space"), p[0]),
-        newborn_density=Field(grid, ("time", "space"), newborn[0]),
+        p=Field(grid, ("size", "time", "space"), p),
+        newborn_density=Field(grid, ("time", "space"), newborn),
         beta=beta_frozen,
     )

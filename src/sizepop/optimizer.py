@@ -4,12 +4,18 @@ The optimal fertility control solves a projected stationarity condition:
 beta = F(sign * r * p * phi0 / (c * rho)) with F the pointwise clip onto the
 control box, p the state, phi0 the adjoint trace at the newborn boundary,
 and sign = -1 for the cost variant that subtracts the quadratic control term
-(+1 for the variant that adds it).  The sweep alternates a state solve, an
-adjoint solve and a relaxed projected update until the control stops moving
-in the sup norm.  Convergence is guaranteed when the reported contraction
-ratio (M1*M4 + M2*M3)/(c*rho) is below one; the diagnostics estimate the
-four constants empirically from sample controls.  Every state and adjoint
-solve reads the scenario's StepContext, built once per validated scenario.
+(+1 for the variant that adds it).  The sweep repeats a relaxed projected
+update until the control stops moving in the sup norm.  One iteration runs
+adjoint first: the cost is linear in p, so the adjoint reads only the
+control, and its march keeps just the trace phi0, shape (Nt+1, Nx).  The
+state march follows; at each time level it adds that level's share of J
+and forms, clips and relaxes the level's update into the next control.  No
+full state, adjoint or update field is held, only the control and its
+successor.  Convergence is guaranteed when the reported contraction ratio
+(M1*M4 + M2*M3)/(c*rho) is below one; the diagnostics estimate the four
+constants empirically from sample controls, marched as one batch forward
+and one backward that keep running maxima.  Every march reads the
+scenario's StepContext, built once per validated scenario.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import AdjointSolution, solve_adjoint
-from .forward import StateSolution, solve_state
+from .adjoint import AdjointSolution, march_adjoint
+from .forward import StateSolution, level_slice, march_states
 from .model import CostParams, Field, Grid3, ValidatedScenario, control_array
 
 # seeded random controls sampled by the contraction diagnostics, besides the
@@ -69,26 +75,23 @@ class OptimizationReport:
         }
 
 
+def _cost_density(p, beta, cost: CostParams):
+    """Integrand of J: p -/+ rho/2 * beta^2."""
+    return p + cost.control_sign * 0.5 * cost.rho * beta**2
+
+
 def evaluate_costs(grid: Grid3, p: np.ndarray, beta: np.ndarray, cost: CostParams) -> np.ndarray:
     """J of every control along the leading axes of `p` and `beta`, whose
     last three axes are (size, time, space): each member's integrand is
     summed over those three axes only."""
     w = grid.volume_weights()
-    integrand = p + cost.control_sign * 0.5 * cost.rho * beta**2
-    return (w * integrand).sum(axis=(-3, -2, -1))
+    return (w * _cost_density(p, beta, cost)).sum(axis=(-3, -2, -1))
 
 
 def evaluate_cost(state: StateSolution, cost: CostParams) -> float:
     """J = integral of [p -/+ rho/2 * beta^2] under the volume quadrature,
     at the control the state was solved with."""
     return float(evaluate_costs(state.p.grid, state.p.values, state.beta, cost))
-
-
-def project_F(h, vsc: ValidatedScenario) -> Field:
-    """Pointwise clip of a candidate control onto [phi_l, phi_m]."""
-    values = control_array(vsc.grid, h)
-    return Field(vsc.grid, ("size", "time", "space"),
-                 np.clip(values, vsc.phi_l_grid, vsc.phi_m_grid))
 
 
 def gradient_field(state: StateSolution, adjoint: AdjointSolution,
@@ -105,35 +108,51 @@ def gradient_field(state: StateSolution, adjoint: AdjointSolution,
     return Field(vsc.grid, ("size", "time", "space"), g)
 
 
-def fixed_point_update(state: StateSolution, adjoint: AdjointSolution,
-                       vsc: ValidatedScenario) -> Field:
-    """Projected stationarity map: F(sign * r * p * phi0 / (c * rho)).
+def _update_target(vsc: ValidatedScenario, p: np.ndarray, phi0: np.ndarray,
+                   at=np.s_[...]) -> np.ndarray:
+    """Projected stationarity map F(sign * r * p * phi0 / (c * rho)) on the
+    cells `at` selects from the control grid: the whole grid, with phi0 of
+    shape (1, Nt+1, Nx), or level j, at = np.s_[:, j, :], with the level's
+    density slice and phi0[j].
 
     Only the product c*rho enters; the stationary value is where the
     gradient density vanishes, clipped onto the control box.
     """
     cost = vsc.cost
-    h = cost.control_sign * vsc.r_grid * state.p.values * adjoint.phi_at_zero.values[None, :, :] \
-        / (cost.c * cost.rho)
-    return project_F(Field(vsc.grid, ("size", "time", "space"), h), vsc)
+    h = cost.control_sign * vsc.r_grid[at] * p * phi0 / (cost.c * cost.rho)
+    return np.clip(h, vsc.phi_l_grid[at], vsc.phi_m_grid[at])
+
+
+def fixed_point_update(state: StateSolution, adjoint: AdjointSolution,
+                       vsc: ValidatedScenario) -> Field:
+    """Projected stationarity map over the whole grid: the sweep's per-level
+    update applied to a stored state and adjoint."""
+    return Field(vsc.grid, ("size", "time", "space"),
+                 _update_target(vsc, state.p.values, adjoint.phi_at_zero.values[None, :, :]))
 
 
 def optimize(vsc: ValidatedScenario, beta0=None,
              compute_diagnostics: bool = True) -> OptimizationReport:
-    """Forward-backward sweep with relaxed projected updates.
+    """Adjoint-first sweep with relaxed projected updates.
 
     Iterates beta <- (1-omega)*beta + omega*F(update), clipped onto the box
     against rounding, from beta0 (default: the middle of the control box),
     stopping when the sup-norm update falls below the configured
-    tolerance.  Ten consecutive residual increases are reported as
-    divergence.  The report carries the cost history, the update residuals
-    and, unless disabled, contraction diagnostics sampled at the box
-    corners, the optimum and N_RANDOM_SAMPLES seeded random controls.
+    tolerance.  Each iteration marches the adjoint and keeps its trace,
+    then marches the state and updates the control level by level.  Ten
+    consecutive residual increases are reported as divergence.  The report
+    carries the cost history, the update residuals and, unless disabled,
+    contraction diagnostics sampled at the box corners, the optimum and
+    N_RANDOM_SAMPLES seeded random controls.
     """
     grid = vsc.grid
     tol = vsc.tolerances.fixed_point_tol
     omega = vsc.tolerances.relax_omega
     max_iters = vsc.tolerances.max_iters
+    wt = grid.time_weights() * grid.dt
+    wx = grid.space_weights() * grid.dx
+    # row j holds the volume weights of level j, the same for every size
+    level_weights = grid.ds * wt[:, None] * wx
 
     if beta0 is None:
         beta = 0.5 * (vsc.phi_l_grid + vsc.phi_m_grid)
@@ -144,16 +163,24 @@ def optimize(vsc: ValidatedScenario, beta0=None,
     residuals = []
     status = "max_iters"
     grow_streak = 0
+    phi0 = np.empty((grid.Nt + 1, grid.Nx))
+    level_resid = np.empty(grid.Nt + 1)
     for _ in range(max_iters):
-        state = solve_state(vsc, beta)
-        adj = solve_adjoint(vsc, state)
-        J_history.append(evaluate_cost(state, vsc.cost))
-        target = fixed_point_update(state, adj, vsc).values
-        beta_next = (1.0 - omega) * beta + omega * target
-        # with phi_l == phi_m the blend can round one ulp off the box; the
-        # clip is in place, and an identity at omega = 1
-        np.clip(beta_next, vsc.phi_l_grid, vsc.phi_m_grid, out=beta_next)
-        resid = float(np.max(np.abs(beta_next - beta)))
+        for j, _phi_j, phi0_j in march_adjoint(vsc, beta):
+            phi0[j] = phi0_j
+        beta_next = np.empty_like(beta)
+        J = 0.0
+        for j, p_j, _b_j in march_states(vsc, beta):
+            at = np.s_[:, j, :]
+            J += float((level_weights[j] * _cost_density(p_j, beta[at], vsc.cost)).sum())
+            level = (1.0 - omega) * beta[at] + omega * _update_target(vsc, p_j, phi0[j], at)
+            # with phi_l == phi_m the blend can round one ulp off the box; the
+            # clip is an identity at omega = 1
+            np.clip(level, vsc.phi_l_grid[at], vsc.phi_m_grid[at], out=level)
+            level_resid[j] = np.max(np.abs(level - beta[at]))
+            beta_next[at] = level
+        J_history.append(J)
+        resid = float(level_resid.max())
         residuals.append(resid)
         beta = beta_next
         if resid < tol:
@@ -166,17 +193,15 @@ def optimize(vsc: ValidatedScenario, beta0=None,
                 break
         else:
             grow_streak = 0
-    # only beta carries over; the last iterate would stay alive through the
-    # diagnostics (max_iters >= 1 is a validated invariant, so these are bound)
-    del state, adj, target
 
     diagnostics = None
     if compute_diagnostics:
         rng = np.random.default_rng(vsc.tolerances.seed)
-        samples = [vsc.phi_l_grid, vsc.phi_m_grid, beta]
-        for _ in range(N_RANDOM_SAMPLES):
-            u = rng.random((grid.Ns, grid.Nt + 1, grid.Nx))
-            samples.append(vsc.phi_l_grid + u * (vsc.phi_m_grid - vsc.phi_l_grid))
+        shape = (grid.Ns, grid.Nt + 1, grid.Nx)
+        # no draw outlives its sample: the diagnostics hold only the samples
+        samples = [vsc.phi_l_grid, vsc.phi_m_grid, beta] + [
+            vsc.phi_l_grid + rng.random(shape) * (vsc.phi_m_grid - vsc.phi_l_grid)
+            for _ in range(N_RANDOM_SAMPLES)]
         try:
             diagnostics = contraction_diagnostics(vsc, samples)
         except ValueError:
@@ -198,36 +223,34 @@ def contraction_diagnostics(vsc: ValidatedScenario, beta_samples) -> Contraction
     M3/M4 are the largest |p| and |phi| over the samples; M1/M2 are the
     largest sup-norm difference quotients of the state and the adjoint trace
     over sample pairs.  Pairs of identical controls are skipped; at least
-    one distinct pair is required.
+    one distinct pair is required.  The samples march as one batch forward
+    and one backward, which keep running maxima per level and the adjoint
+    traces, never a whole state or adjoint field.
     """
     if len(beta_samples) < 2:
         raise ValueError("need at least two control samples")
     grid = vsc.grid
     arrs = [control_array(grid, b) for b in beta_samples]
-    states = []
-    traces = []
+    first, second = np.triu_indices(len(arrs), 1)
+    d_beta = np.zeros(len(first))
+    d_p = np.zeros(len(first))
     m3 = 0.0
+    for j, p_j, _b_j in march_states(vsc, arrs):
+        beta_j = level_slice(arrs, j)
+        d_beta = np.maximum(d_beta, np.abs(beta_j[first] - beta_j[second]).max(axis=(-2, -1)))
+        d_p = np.maximum(d_p, np.abs(p_j[first] - p_j[second]).max(axis=(-2, -1)))
+        m3 = max(m3, float(np.max(np.abs(p_j))))
+    traces = np.empty((len(arrs), grid.Nt + 1, grid.Nx))
     m4 = 0.0
-    for b in arrs:
-        state = solve_state(vsc, b)
-        adj = solve_adjoint(vsc, state)
-        states.append(state.p.values)
-        traces.append(adj.phi_at_zero.values)
-        m3 = max(m3, float(np.max(np.abs(state.p.values))))
-        m4 = max(m4, float(np.max(np.abs(adj.phi.values))))
-    m1 = 0.0
-    m2 = 0.0
-    any_distinct = False
-    for a in range(len(arrs)):
-        for b in range(a + 1, len(arrs)):
-            db = float(np.max(np.abs(arrs[a] - arrs[b])))
-            if db == 0.0:
-                continue
-            any_distinct = True
-            m1 = max(m1, float(np.max(np.abs(states[a] - states[b]))) / db)
-            m2 = max(m2, float(np.max(np.abs(traces[a] - traces[b]))) / db)
-    if not any_distinct:
+    for j, phi_j, phi0_j in march_adjoint(vsc, arrs):
+        traces[:, j] = phi0_j
+        m4 = max(m4, float(np.max(np.abs(phi_j))))
+    d_trace = np.abs(traces[first] - traces[second]).max(axis=(-2, -1))
+    distinct = d_beta != 0.0
+    if not distinct.any():
         raise ValueError("need distinct samples")
+    m1 = max(0.0, float((d_p[distinct] / d_beta[distinct]).max()))
+    m2 = max(0.0, float((d_trace[distinct] / d_beta[distinct]).max()))
     ratio = (m1 * m4 + m2 * m3) / (vsc.cost.c * vsc.cost.rho)
     return ContractionDiagnostics(M1=m1, M2=m2, M3=m3, M4=m4,
                                   ratio=ratio, contraction_ok=ratio < 1.0)

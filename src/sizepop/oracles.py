@@ -162,8 +162,8 @@ def oracle_transpose_duality(seed: int = 0) -> dict:
         j = int(rng.integers(0, grid.Nt))
         u = rng.standard_normal((grid.Ns, grid.Nx))
         v = rng.standard_normal((grid.Ns, grid.Nx))
-        au = ctx.apply_step_linear(beta, j, u)
-        atv, _ = ctx.apply_step_adjoint(beta, j, v)
+        au = ctx.apply_step_linear(j, beta[:, j, :], u)
+        atv, _ = ctx.apply_step_adjoint(j, beta[:, j, :], v)
         lhs = float((au * v).sum())
         rhs = float((u * atv).sum())
         # lhs can cancel far below its terms, so scale by its Cauchy-Schwarz

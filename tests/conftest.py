@@ -134,9 +134,9 @@ def assemble_step_matrix(vsc: ValidatedScenario, beta, j: int, adjoint: bool = F
         e[col] = 1.0
         u = e.reshape(grid.Ns, grid.Nx)
         if adjoint:
-            out, _ = ctx.apply_step_adjoint(beta_arr, j, u)
+            out, _ = ctx.apply_step_adjoint(j, beta_arr[:, j, :], u)
         else:
-            out = ctx.apply_step_linear(beta_arr, j, u)
+            out = ctx.apply_step_linear(j, beta_arr[:, j, :], u)
         mat[:, col] = out.ravel()
     return mat
 

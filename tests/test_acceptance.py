@@ -55,8 +55,8 @@ def test_criterion_1_discrete_duality():
         j = int(rng.integers(0, grid.Nt))
         u = rng.standard_normal((grid.Ns, grid.Nx))
         v = rng.standard_normal((grid.Ns, grid.Nx))
-        lhs = float((ctx.apply_step_linear(beta, j, u) * v).sum())
-        rhs = float((u * ctx.apply_step_adjoint(beta, j, v)[0]).sum())
+        lhs = float((ctx.apply_step_linear(j, beta[:, j, :], u) * v).sum())
+        rhs = float((u * ctx.apply_step_adjoint(j, beta[:, j, :], v)[0]).sum())
         worst = max(worst, abs(lhs - rhs) / (np.linalg.norm(u) * np.linalg.norm(v)))
     state = sp.solve_state(vsc, beta)
     adj = solve_adjoint(vsc, state)

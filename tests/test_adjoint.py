@@ -7,10 +7,10 @@ import pytest
 
 import sizepop as sp
 from sizepop import rates as rate_lib
-from sizepop.adjoint import duality_residual, solve_adjoint, solve_sensitivity
-from sizepop.model import Grid3, Scenario, VitalRates, validate_scenario
+from sizepop.adjoint import duality_residual, march_adjoint, solve_adjoint, solve_sensitivity
+from sizepop.model import Grid3, NumericalError, Scenario, VitalRates, validate_scenario
 from sizepop.presets import smooth_default, tiny_random
-from sizepop.optimizer import evaluate_cost
+from sizepop.optimizer import evaluate_cost, optimize
 from conftest import assemble_step_matrix, unit_scenario
 
 
@@ -77,8 +77,8 @@ def test_one_step_pairing(rng):
         for _ in range(10):
             u = rng.standard_normal((grid.Ns, grid.Nx))
             v = rng.standard_normal((grid.Ns, grid.Nx))
-            lhs = float((ctx.apply_step_linear(beta, j, u) * v).sum())
-            rhs = float((u * ctx.apply_step_adjoint(beta, j, v)[0]).sum())
+            lhs = float((ctx.apply_step_linear(j, beta[:, j, :], u) * v).sum())
+            rhs = float((u * ctx.apply_step_adjoint(j, beta[:, j, :], v)[0]).sum())
             scale = np.linalg.norm(u) * np.linalg.norm(v)
             assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -186,3 +186,18 @@ def test_trace_lipschitz_in_control(rng):
         num = np.abs(a1.phi_at_zero.values - a2.phi_at_zero.values).max()
         ratios.append(num / np.abs(b1 - b2).max())
     assert np.isfinite(ratios).all()
+
+
+def test_non_finite_adjoint_level_is_a_numerical_error():
+    # the adjoint reads only the control, so its own march catches a NaN
+    # control level, also first thing in the optimizer's adjoint-first sweep
+    vsc = tiny_random(seed=0)
+    grid = vsc.grid
+    beta = np.full((grid.Ns, grid.Nt + 1, grid.Nx), 0.4)
+    beta[1, 1, 0] = np.nan
+    with pytest.raises(NumericalError, match=r"non-finite adjoint at \(i=\d+, j=1, k=\d+\)"):
+        list(march_adjoint(vsc, beta))
+    with pytest.raises(NumericalError, match=r"adjoint in batch member 1 at \(i=\d+, j=1, "):
+        list(march_adjoint(vsc, [np.full_like(beta, 0.4), beta]))
+    with pytest.raises(NumericalError, match="non-finite adjoint"):
+        optimize(vsc, beta0=beta, compute_diagnostics=False)

@@ -461,8 +461,8 @@ def _corrupt_adjoint(monkeypatch) -> None:
     oracle and solve_adjoint both call."""
     exact = StepContext.apply_step_adjoint
 
-    def corrupted(self, beta, j, lam):
-        out, yhat = exact(self, beta, j, lam)
+    def corrupted(self, j, beta_j, lam):
+        out, yhat = exact(self, j, beta_j, lam)
         out[0, 0] = -out[0, 0]
         return out, yhat
 

@@ -41,7 +41,7 @@ class TestComputeRenewal:
     def newborn(self, vsc, beta, j=3):
         # j = 3 is t = 0.3
         ones = np.ones((self.GRID.Ns, self.GRID.Nx))
-        return vsc.step_context.newborn_value(control_array(vsc.grid, beta), j, ones)
+        return vsc.step_context.newborn_value(j, control_array(vsc.grid, beta)[:, j, :], ones)
 
     def test_birth_integral(self):
         vsc = unit_scenario(self.GRID, gamma=1.0, r=0.5, C=0.0)
@@ -71,7 +71,7 @@ class TestStepTransportReaction:
 
     @staticmethod
     def step(vsc, p_j, beta, j=0):
-        return vsc.step_context.step(control_array(vsc.grid, beta), j, p_j)[0]
+        return vsc.step_context.step(j, control_array(vsc.grid, beta)[:, j, :], p_j)[0]
 
     def test_pure_shift_of_linear_profile(self):
         grid = Grid3(Ns=10, Nt=10, Nx=3, s_f=1.0, T=1.0, L=1.0)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import gc
-import weakref
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,16 +11,23 @@ import pytest
 
 import sizepop as sp
 import sizepop.optimizer as opt_mod
+from sizepop import rates as rate_lib
 from sizepop.adjoint import AdjointSolution, duality_residual, solve_adjoint, solve_sensitivity
 from sizepop.forward import StateSolution
-from sizepop.model import ControlBounds, CostParams, Field, Grid3, control_array, validate_scenario
+from sizepop.model import (
+    ControlBounds,
+    CostParams,
+    Grid3,
+    Tolerances,
+    control_array,
+    validate_scenario,
+)
 from sizepop.optimizer import (
     contraction_diagnostics,
     evaluate_cost,
     fixed_point_update,
     gradient_field,
     optimize,
-    project_F,
 )
 from sizepop.presets import smooth_default, tiny_random
 from conftest import full_field, unit_scenario, with_cost
@@ -59,28 +66,33 @@ class TestEvaluateCost:
 
 
 class TestProjection:
-    BOX = unit_scenario(GRID, phi_l=0.1, phi_m=0.4)
+    """The projection F onto the box, through the update target: with
+    r = 0.5, c = rho = 1, the minus variant and phi0 = -2 the candidate value
+    sign * r * p * phi0 / (c * rho) is p itself, exactly."""
+
+    BOX = unit_scenario(GRID, r=0.5, phi_l=0.1, phi_m=0.4)
+
+    def project(self, h):
+        return opt_mod._update_target(self.BOX, h, -2.0)
 
     @pytest.mark.parametrize("h,expected", [(0.5, 0.4), (0.25, 0.25), (-3.0, 0.1)])
     def test_clip(self, h, expected):
-        out = project_F(full_field(GRID, ("size", "time", "space"), h), self.BOX)
-        np.testing.assert_allclose(out.values, expected)
+        out = self.project(np.full((GRID.Ns, GRID.Nt + 1, GRID.Nx), h))
+        np.testing.assert_allclose(out, expected)
 
     def test_idempotent(self, rng):
-        h = Field(GRID, ("size", "time", "space"),
-                  rng.standard_normal((GRID.Ns, GRID.Nt + 1, GRID.Nx)))
-        once = project_F(h, self.BOX)
-        twice = project_F(once, self.BOX)
-        assert np.array_equal(once.values, twice.values)
+        h = rng.standard_normal((GRID.Ns, GRID.Nt + 1, GRID.Nx))
+        once = self.project(h)
+        twice = self.project(once)
+        assert np.array_equal(once, twice)
 
     def test_nonexpansive(self, rng):
         shape = (GRID.Ns, GRID.Nt + 1, GRID.Nx)
         for _ in range(10):
-            h1 = Field(GRID, ("size", "time", "space"), rng.standard_normal(shape))
-            h2 = Field(GRID, ("size", "time", "space"), rng.standard_normal(shape))
-            d_out = np.abs(project_F(h1, self.BOX).values
-                           - project_F(h2, self.BOX).values).max()
-            assert d_out <= np.abs(h1.values - h2.values).max() + 1e-15
+            h1 = rng.standard_normal(shape)
+            h2 = rng.standard_normal(shape)
+            d_out = np.abs(self.project(h1) - self.project(h2)).max()
+            assert d_out <= np.abs(h1 - h2).max() + 1e-15
 
 
 class TestGradientField:
@@ -189,47 +201,49 @@ class TestOptimize:
 
     def test_divergence_detector(self, monkeypatch):
         vsc = unit_scenario(gamma=1.0, mu=0.1, phi_l=0.0, phi_m=1e9, k=0.01)
-        grow = {"scale": 1.0}
+        levels = vsc.grid.Nt + 1
+        calls = {"n": 0}
 
-        def runaway(state, adjoint, scenario):
-            grow["scale"] *= 2.0
-            return full_field(vsc.grid, ("size", "time", "space"), grow["scale"])
+        def runaway(scenario, p, phi0, at):
+            # one level per call: the target doubles every iteration
+            calls["n"] += 1
+            return np.full(p.shape, 2.0 ** -(-calls["n"] // levels))
 
-        monkeypatch.setattr(opt_mod, "fixed_point_update", runaway)
+        monkeypatch.setattr(opt_mod, "_update_target", runaway)
         rep = optimize(vsc, beta0=0.0, compute_diagnostics=False)
         assert rep.status == "diverged"
         assert len(rep.update_residuals) >= 10
 
     def test_only_the_control_outlives_an_iteration(self, monkeypatch):
-        # the diagnostics march five samples of their own; the sweep's last
-        # state, adjoint and update target must be freed before they start
-        refs = []
-
-        def recorded(fn, part=lambda out: out):
-            def wrapper(*args):
-                out = fn(*args)
-                refs.append(weakref.ref(part(out)))
-                return out
-            return wrapper
+        # the diagnostics march five samples of their own; when they start,
+        # the sweep may hold the control and nothing else of full-grid size:
+        # no state, adjoint, update target or earlier iterate
+        vsc = smooth_default(40, 40, 20)
+        grid = vsc.grid
+        control_bytes = 8 * grid.Ns * (grid.Nt + 1) * grid.Nx
+        vsc.step_context  # built before the baseline is taken
+        held = {}
 
         def diagnostics_on_a_clean_slate(vsc, samples):
-            alive = [r for r in refs if r() is not None]
-            assert len(refs) >= 6 and not alive  # two iterations or more
+            # the random samples are made for the diagnostics, after the sweep
+            made_for_them = sum(s.nbytes for s in samples[3:])
+            held["after_sweep"] = tracemalloc.get_traced_memory()[0] - made_for_them
             return diagnose(vsc, samples)
 
         diagnose = opt_mod.contraction_diagnostics
-        monkeypatch.setattr(opt_mod, "solve_state", recorded(opt_mod.solve_state))
-        monkeypatch.setattr(opt_mod, "solve_adjoint", recorded(opt_mod.solve_adjoint))
-        monkeypatch.setattr(opt_mod, "fixed_point_update",
-                            recorded(opt_mod.fixed_point_update, lambda out: out.values))
         monkeypatch.setattr(opt_mod, "contraction_diagnostics", diagnostics_on_a_clean_slate)
         # reference counting alone must free them, as in the sweep itself
         gc.disable()
+        tracemalloc.start()
         try:
-            rep = optimize(smooth_default(8, 8, 4))
+            before = tracemalloc.get_traced_memory()[0]
+            rep = optimize(vsc)
         finally:
+            tracemalloc.stop()
             gc.enable()
-        assert rep.contraction is not None
+        assert rep.iterations >= 2 and rep.contraction is not None
+        # the control itself, plus well under one more control-sized array
+        assert held["after_sweep"] - before < 2 * control_bytes
 
 
 class TestContractionDiagnostics:
@@ -263,8 +277,130 @@ class TestContractionDiagnostics:
             assert r[k + 1] / r[k] <= rep.contraction.ratio + 0.1
 
 
+def whole_field_optimize(vsc):
+    """The sweep and its diagnostics as they were before streaming: every
+    iteration solves and stores the whole state and adjoint and forms the
+    whole update target, and each diagnostic sample gets a state and an
+    adjoint solve of its own."""
+    grid = vsc.grid
+    tol = vsc.tolerances.fixed_point_tol
+    omega = vsc.tolerances.relax_omega
+    cost = vsc.cost
+    beta = 0.5 * (vsc.phi_l_grid + vsc.phi_m_grid)
+    J_history, residuals, status, grow_streak = [], [], "max_iters", 0
+    for _ in range(vsc.tolerances.max_iters):
+        state = sp.solve_state(vsc, beta)
+        adj = solve_adjoint(vsc, state)
+        J_history.append(evaluate_cost(state, cost))
+        h = (cost.control_sign * vsc.r_grid * state.p.values
+             * adj.phi_at_zero.values[None, :, :] / (cost.c * cost.rho))
+        target = np.clip(h, vsc.phi_l_grid, vsc.phi_m_grid)
+        beta_next = (1.0 - omega) * beta + omega * target
+        np.clip(beta_next, vsc.phi_l_grid, vsc.phi_m_grid, out=beta_next)
+        resid = float(np.max(np.abs(beta_next - beta)))
+        residuals.append(resid)
+        beta = beta_next
+        if resid < tol:
+            status = "converged"
+            break
+        if len(residuals) > 1 and resid > residuals[-2]:
+            grow_streak += 1
+            if grow_streak >= 10:
+                status = "diverged"
+                break
+        else:
+            grow_streak = 0
+    rng = np.random.default_rng(vsc.tolerances.seed)
+    samples = [vsc.phi_l_grid, vsc.phi_m_grid, beta]
+    for _ in range(opt_mod.N_RANDOM_SAMPLES):
+        u = rng.random((grid.Ns, grid.Nt + 1, grid.Nx))
+        samples.append(vsc.phi_l_grid + u * (vsc.phi_m_grid - vsc.phi_l_grid))
+    return beta, J_history, residuals, status, looped_diagnostics(vsc, samples)
+
+
+def looped_diagnostics(vsc, samples):
+    """(M1, M2, M3, M4) from one stored state and adjoint per sample, or
+    None when no two samples differ."""
+    arrs = [control_array(vsc.grid, b) for b in samples]
+    states, traces, m3, m4 = [], [], 0.0, 0.0
+    for b in arrs:
+        state = sp.solve_state(vsc, b)
+        adj = solve_adjoint(vsc, state)
+        states.append(state.p.values)
+        traces.append(adj.phi_at_zero.values)
+        m3 = max(m3, float(np.max(np.abs(state.p.values))))
+        m4 = max(m4, float(np.max(np.abs(adj.phi.values))))
+    m1, m2, any_distinct = 0.0, 0.0, False
+    for a in range(len(arrs)):
+        for b in range(a + 1, len(arrs)):
+            db = float(np.max(np.abs(arrs[a] - arrs[b])))
+            if db == 0.0:
+                continue
+            any_distinct = True
+            m1 = max(m1, float(np.max(np.abs(states[a] - states[b]))) / db)
+            m2 = max(m2, float(np.max(np.abs(traces[a] - traces[b]))) / db)
+    return (m1, m2, m3, m4) if any_distinct else None
+
+
+def _growth_scenario(gamma, **kw):
+    grid = Grid3(Ns=8, Nt=6, Nx=5, s_f=1.0, T=1.0, L=1.0)
+    return unit_scenario(grid, gamma=gamma, mu=0.2, f=0.05, C=0.1, k=0.02,
+                         tol=Tolerances(max_iters=40), **kw)
+
+
+def _pinned_relaxed_box():
+    sc = smooth_default(8, 8, 4).scenario
+    return validate_scenario(replace(sc, bounds=ControlBounds.constants(0.1, 0.1),
+                                     tolerances=replace(sc.tolerances, relax_omega=0.3)))
+
+
+STREAMED_CASES = {
+    "a": (lambda: smooth_default(8, 8, 4), "a"),
+    "a_plus_variant": (lambda: with_cost(smooth_default(8, 8, 4), sign_variant="plus",
+                                         rho=20.0), "a"),
+    "b": (lambda: _growth_scenario(
+        rate_lib.from_preset("linear-in-s", ("size", "time"), {"a": 1.0, "b": -1.0})), "b"),
+    "c": (lambda: _growth_scenario(
+        rate_lib.from_preset("linear-in-s", ("size", "time"), {"a": 0.0, "b": 1.0})), "c"),
+    "d": (lambda: _growth_scenario(rate_lib.from_callable(
+        lambda s, t: s * (1.0 - s), ("size", "time"), d_ds=lambda s, t: 1.0 - 2.0 * s)), "d"),
+    "degenerate_box": (lambda: unit_scenario(gamma=1.0, mu=0.1, phi_l=0.3, phi_m=0.3,
+                                             k=0.01), "a"),
+    "relaxed": (lambda: smooth_default(8, 8, 4).with_tolerances(relax_omega=0.5), "a"),
+    "pinned_relaxed": (_pinned_relaxed_box, "a"),
+}
+
+
+@pytest.mark.parametrize("name", STREAMED_CASES)
+def test_streamed_sweep_matches_whole_field_sweep(name):
+    make, tag = STREAMED_CASES[name]
+    vsc = make()
+    assert vsc.growth_case.tag == tag
+    beta, J_history, residuals, status, diag = whole_field_optimize(vsc)
+    rep = optimize(vsc)
+    assert np.array_equal(rep.beta_opt.values, beta)
+    assert rep.status == status and rep.iterations == len(residuals)
+    assert rep.update_residuals.tolist() == residuals
+    # the per-level cost shares sum in another order
+    np.testing.assert_allclose(rep.J_history, J_history, rtol=1e-15, atol=0.0)
+    if diag is None:
+        assert rep.contraction is None
+    else:
+        got = rep.contraction
+        assert (got.M1, got.M2, got.M3, got.M4) == diag
+    # the diagnostics on samples given as scalars and arrays alike
+    samples = [0.25, beta, vsc.phi_m_grid]
+    want = looped_diagnostics(vsc, samples)
+    if want is None:
+        with pytest.raises(ValueError, match="distinct"):
+            contraction_diagnostics(vsc, samples)
+    else:
+        got = contraction_diagnostics(vsc, samples)
+        assert (got.M1, got.M2, got.M3, got.M4) == want
+
+
 @pytest.mark.parametrize("entry", ["solve_state", "optimize", "solve_sensitivity",
-                                   "duality_residual", "contraction_diagnostics", "project_F"])
+                                   "duality_residual", "contraction_diagnostics"])
 def test_control_field_on_another_grid_is_refused(entry):
     # same shape as the scenario's grid, other extents
     vsc = smooth_default(8, 8, 4)
@@ -278,7 +414,6 @@ def test_control_field_on_another_grid_is_refused(entry):
         "duality_residual": lambda: duality_residual(vsc, state, solve_adjoint(vsc, state),
                                                      other),
         "contraction_diagnostics": lambda: contraction_diagnostics(vsc, [0.2, other]),
-        "project_F": lambda: project_F(other, vsc),
     }
     with pytest.raises(ValueError, match="different grid"):
         calls[entry]()
