@@ -12,7 +12,8 @@ StepContext precomputes once per validated scenario (on first use of
      decay factor from the size divergence of the growth rate; column Ns
      carries the newborn boundary value,
   3. a reaction that is exact in mortality: multiply by E_j = exp(-mu*dt),
-     add the feed f*dt,
+     add the feed f*dt; each is computed once per (step, size cell) when
+     its rate has no space axis, and broadcast over x,
   4. one backward-Euler diffusion step in space per size cell, with a
      second-order Neumann ghost-point closure (DiffusionSolve).
 
@@ -266,7 +267,9 @@ class StepContext:
     (premultiplied by the decay factor) on cells below Ns, and the
     coefficient on the newborn boundary value in column Ns.  `E[j]` and
     `Fsrc[j]` are the reaction factor and feed over the effective reaction
-    interval, and `diffusion` solves with the diffusion matrix.
+    interval; both are read-only views of shape (Nt, Ns, Nx), with stride 0
+    in space when mortality, or the feed, has no space axis.  `diffusion`
+    solves with the diffusion matrix.
 
     The step methods take a level j, the control's level slice `beta_j` and
     a slice `u`, both of shape (..., Ns, Nx) with the same leading axes,
@@ -338,15 +341,19 @@ class StepContext:
         self.stencil_weights = np.stack([lo_w, hi_w, bnode_w], axis=-1)
         self._rows_T, self._weights_T = _transposed_gather(lo_idx, hi_idx, lo_w, hi_w)
         # one rate evaluation per step: a single (Nt, Ns, Nx) one would hold
-        # several temporaries of the full grid's size at once
-        self.E = np.empty((nt, ns, nx))
-        self.Fsrc = np.empty((nt, ns, nx))
-        x = grid.x_points[None, :]
+        # several temporaries of the full grid's size at once.  A rate
+        # without a space axis is evaluated at one x and broadcast.
+        mu, f = vsc.rates.mu, vsc.rates.f
+        x_mu, x_f = (grid.x_points[None, :] if "space" in rate.axes else grid.x_points[None, :1]
+                     for rate in (mu, f))
+        E = np.empty((nt, ns, x_mu.shape[1]))
+        Fsrc = np.empty((nt, ns, x_f.shape[1]))
         for j in range(nt):
-            mu_mid = vsc.rates.mu(s=s_mid[j, :, None], t=t_mid[j, :, None], x=x)
-            f_mid = vsc.rates.f(s=s_mid[j, :, None], t=t_mid[j, :, None], x=x)
-            self.E[j] = np.exp(-mu_mid * dt_eff[j, :, None])
-            self.Fsrc[j] = f_mid * dt_eff[j, :, None]
+            s_j, t_j, dt_j = s_mid[j, :, None], t_mid[j, :, None], dt_eff[j, :, None]
+            E[j] = np.exp(-mu(s=s_j, t=t_j, x=x_mu) * dt_j)
+            Fsrc[j] = f(s=s_j, t=t_j, x=x_f) * dt_j
+        self.E = np.broadcast_to(E, (nt, ns, nx))
+        self.Fsrc = np.broadcast_to(Fsrc, (nt, ns, nx))
 
         self.diffusion = DiffusionSolve(*_neumann_bands(nx, grid.dx, vsc.k, dt))
 

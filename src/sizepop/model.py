@@ -264,8 +264,12 @@ class ValidatedScenario:
     Holds only the arrays a solver reads: the female ratio and the control
     bounds shaped (Ns, Nt+1, Nx), the growth trace at s = 0 shaped (Nt+1,),
     newborn immigration (Nt+1, Nx) and the initial density (Ns, Nx).  The
-    other rates are sampled and checked at validation, then dropped; read
-    them from `rates`.  Immutable; safe to share across runs.  The step
+    female ratio and the bounds are sampled only along the axes the rate
+    varies over and held as read-only broadcast views of the full shape,
+    with stride 0 along the other axes: a constant costs one float, not a
+    full grid.  Readers index and combine them as they would full arrays.
+    The other rates are sampled and checked at validation, then dropped;
+    read them from `rates`.  Immutable; safe to share across runs.  The step
     operator of the forward and adjoint marches is built once, on first use
     of `step_context`, and cached on the instance.
     """
@@ -281,7 +285,9 @@ class ValidatedScenario:
 
     def __post_init__(self):
         for name in ("gamma0_t", "r_grid", "C_grid", "p0_grid", "phi_l_grid", "phi_m_grid"):
-            arr = np.ascontiguousarray(getattr(self, name))
+            arr = np.asarray(getattr(self, name))
+            if 0 not in arr.strides:  # a contiguous copy of a broadcast view is a full grid
+                arr = np.ascontiguousarray(arr)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -354,7 +360,10 @@ def validate_scenario(sc: Scenario) -> ValidatedScenario:
     """Check every model invariant on the grid samples of every rate.
 
     Violations are collected and reported together, each named after the
-    assumption it breaks.  Only the samples a solver reads are kept.
+    assumption it breaks.  A rate of (size, time, space) is sampled with
+    length 1 along each axis it does not vary over; the first bad cell of
+    the full grid in C order lies at index 0 along such an axis, so the
+    samples name the same cell.  Only the samples a solver reads are kept.
     """
     grid = sc.grid
     violations = grid.validate()
@@ -366,26 +375,23 @@ def validate_scenario(sc: Scenario) -> ValidatedScenario:
     gamma0_t = sc.rates.gamma(s=np.zeros_like(t), t=t)
     gamma_end_t = sc.rates.gamma(s=np.full_like(t, grid.s_f), t=t)
 
-    mu_samples = _grid_eval_full(sc.rates.mu, grid)
-    r_grid = _grid_eval_full(sc.rates.r, grid)
-    f_samples = _grid_eval_full(sc.rates.f, grid)
+    mu, r, f, phi_l, phi_m = (_grid_samples(rate, grid) for rate in (
+        sc.rates.mu, sc.rates.r, sc.rates.f, sc.bounds.phi_l, sc.bounds.phi_m))
     C_grid = sc.rates.C(t=t[:, None], x=grid.x_points[None, :])
     p0_grid = sc.rates.p0(s=grid.s_centers[:, None], x=grid.x_points[None, :])
-    phi_l_grid = _grid_eval_full(sc.bounds.phi_l, grid)
-    phi_m_grid = _grid_eval_full(sc.bounds.phi_m, grid)
 
     stx = ("size", "time", "space")
     for key, arr, axes in (
         ("rates.gamma", gamma_samples, ("size", "time")),
         ("rates.gamma at s = 0", gamma0_t, ("time",)),
         ("rates.gamma at s = s_f", gamma_end_t, ("time",)),
-        ("rates.mu", mu_samples, stx),
-        ("rates.r", r_grid, stx),
-        ("rates.f", f_samples, stx),
+        ("rates.mu", mu, stx),
+        ("rates.r", r, stx),
+        ("rates.f", f, stx),
         ("rates.C", C_grid, ("time", "space")),
         ("rates.p0", p0_grid, ("size", "space")),
-        ("bounds.phi_l", phi_l_grid, stx),
-        ("bounds.phi_m", phi_m_grid, stx),
+        ("bounds.phi_l", phi_l, stx),
+        ("bounds.phi_m", phi_m, stx),
     ):
         bad = ~np.isfinite(arr)
         if bad.any():
@@ -393,23 +399,21 @@ def validate_scenario(sc: Scenario) -> ValidatedScenario:
     if (gamma_samples < 0).any() or (gamma0_t < 0).any() or (gamma_end_t < 0).any():
         violations.append("A1 violated: gamma < 0 somewhere on the grid")
     for name, arr, axes in (
-        ("mu", mu_samples, stx),
-        ("f", f_samples, stx),
+        ("mu", mu, stx),
+        ("f", f, stx),
         ("C", C_grid, ("time", "space")),
         ("p0", p0_grid, ("size", "space")),
     ):
         if (arr < 0).any():
             violations.append(f"nonnegativity violated: {name} < 0 at {_first_bad(arr < 0, axes)}")
-    if (r_grid <= 0).any():
-        violations.append(f"A5 violated: r <= 0 at {_first_bad(r_grid <= 0, stx)}")
-    if (r_grid >= 1).any():
-        violations.append(f"A5 violated: r >= 1 at {_first_bad(r_grid >= 1, stx)}")
-    if (phi_l_grid < 0).any():
-        violations.append(f"bounds violated: phi_l < 0 at {_first_bad(phi_l_grid < 0, stx)}")
-    if (phi_l_grid > phi_m_grid).any():
-        violations.append(
-            f"bounds violated: phi_l > phi_m at {_first_bad(phi_l_grid > phi_m_grid, stx)}"
-        )
+    if (r <= 0).any():
+        violations.append(f"A5 violated: r <= 0 at {_first_bad(r <= 0, stx)}")
+    if (r >= 1).any():
+        violations.append(f"A5 violated: r >= 1 at {_first_bad(r >= 1, stx)}")
+    if (phi_l < 0).any():
+        violations.append(f"bounds violated: phi_l < 0 at {_first_bad(phi_l < 0, stx)}")
+    if (phi_l > phi_m).any():
+        violations.append(f"bounds violated: phi_l > phi_m at {_first_bad(phi_l > phi_m, stx)}")
     if not sc.k > 0:
         violations.append(f"diffusion invariant violated: k > 0 (got {sc.k})")
     elif np.isfinite(sc.k):
@@ -447,15 +451,16 @@ def validate_scenario(sc: Scenario) -> ValidatedScenario:
     if violations:
         raise ScenarioValidationError(violations)
 
+    shape = (grid.Ns, grid.Nt + 1, grid.Nx)
     return ValidatedScenario(
         scenario=sc,
         growth_case=growth_case,
         gamma0_t=gamma0_t,
-        r_grid=r_grid,
+        r_grid=np.broadcast_to(r, shape),
         C_grid=C_grid,
         p0_grid=p0_grid,
-        phi_l_grid=phi_l_grid,
-        phi_m_grid=phi_m_grid,
+        phi_l_grid=np.broadcast_to(phi_l, shape),
+        phi_m_grid=np.broadcast_to(phi_m, shape),
     )
 
 
@@ -481,9 +486,16 @@ def control_array(grid: Grid3, beta) -> np.ndarray:
     return arr
 
 
+def _grid_samples(rate: RateField, grid: Grid3) -> np.ndarray:
+    """A (size, time, space) rate on the grid, sampled with length 1 along
+    each axis it does not vary over; broadcast against (Ns, Nt+1, Nx),
+    the samples are the rate on every cell."""
+    s, t, x = (grid.axis_coords(a) if a in rate.axes else grid.axis_coords(a)[:1]
+               for a in ("size", "time", "space"))
+    return rate(s=s[:, None, None], t=t[None, :, None], x=x[None, None, :])
+
+
 def _grid_eval_full(rate: RateField, grid: Grid3) -> np.ndarray:
-    return rate(
-        s=grid.s_centers[:, None, None],
-        t=grid.t_points[None, :, None],
-        x=grid.x_points[None, None, :],
-    )
+    """The rate on every cell: a read-only view of shape (Ns, Nt+1, Nx) of
+    its samples, with stride 0 along each axis it does not vary over."""
+    return np.broadcast_to(_grid_samples(rate, grid), (grid.Ns, grid.Nt + 1, grid.Nx))

@@ -131,6 +131,11 @@ def fixed_point_update(state: StateSolution, adjoint: AdjointSolution,
                  _update_target(vsc, state.p.values, adjoint.phi_at_zero.values[None, :, :]))
 
 
+def _distinct_values(view: np.ndarray) -> np.ndarray:
+    """A broadcast view cut to length 1 along each axis of stride 0."""
+    return view[tuple(slice(None, 1) if step == 0 else slice(None) for step in view.strides)]
+
+
 def optimize(vsc: ValidatedScenario, beta0=None,
              compute_diagnostics: bool = True) -> OptimizationReport:
     """Adjoint-first sweep with relaxed projected updates.
@@ -198,10 +203,15 @@ def optimize(vsc: ValidatedScenario, beta0=None,
     if compute_diagnostics:
         rng = np.random.default_rng(vsc.tolerances.seed)
         shape = (grid.Ns, grid.Nt + 1, grid.Nx)
-        # no draw outlives its sample: the diagnostics hold only the samples
-        samples = [vsc.phi_l_grid, vsc.phi_m_grid, beta] + [
-            vsc.phi_l_grid + rng.random(shape) * (vsc.phi_m_grid - vsc.phi_l_grid)
-            for _ in range(N_RANDOM_SAMPLES)]
+        lo, hi = _distinct_values(vsc.phi_l_grid), _distinct_values(vsc.phi_m_grid)
+        samples = [vsc.phi_l_grid, vsc.phi_m_grid, beta]
+        for _ in range(N_RANDOM_SAMPLES):
+            # lo + u*(hi - lo), built in the draw itself: no draw outlives
+            # its sample, and the bounds' broadcast views make no full grid
+            u = rng.random(shape)
+            u *= hi - lo
+            u += lo
+            samples.append(u)
         try:
             diagnostics = contraction_diagnostics(vsc, samples)
         except ValueError:

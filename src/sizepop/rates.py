@@ -33,21 +33,29 @@ class RateSpecError(ValueError):
 
 
 def _broadcast(axes: tuple[str, ...], s, t, x):
-    """Pick the coordinate arrays matching `axes` and broadcast them."""
+    """The coordinate arrays matching `axes`, broadcast against each other,
+    and the shape of every coordinate given, broadcast together."""
     coords = {"size": s, "time": t, "space": x}
+    shape = np.broadcast_shapes(*(np.shape(c) for c in coords.values() if c is not None))
     picked = [np.asarray(coords[a], dtype=float) for a in axes]
-    return np.broadcast_arrays(*picked) if picked else []
+    return (np.broadcast_arrays(*picked) if picked else []), shape
 
 
 @dataclass(frozen=True)
 class RateField:
     """Scalar function of a subset of (s, t, x), vectorized over numpy inputs.
 
-    `axes` lists the coordinates the rate genuinely varies over, in canonical
-    (size, time, space) order.  `fn` takes exactly those coordinates.
-    `d_ds` is the partial derivative in s.  The constant, preset and table
-    constructors give one to every rate with a size axis; `from_callable`
-    only when the caller passes it.  The solvers read it for growth alone.
+    `axes` lists the coordinates the rate varies over, in canonical (size,
+    time, space) order, and `fn` takes exactly those: none for a constant,
+    the axes its formula uses for a preset (for separable-product, those
+    with a nonzero coefficient), and every axis given for a table or a
+    callable.  A call takes the coordinates of the rate's nominal axes and
+    returns an array of their broadcast shape, so a caller samples an axis
+    the rate does not vary over once by passing it with length 1.  `d_ds`
+    is the partial derivative in s and takes the same coordinates as `fn`.
+    The constant, preset and table constructors give one to every rate with
+    a nominal size axis; `from_callable` only when the caller passes it.
+    The solvers read it for growth alone.
     """
 
     axes: tuple[str, ...]
@@ -55,27 +63,23 @@ class RateField:
     d_ds: Callable | None = None
 
     def __call__(self, s=None, t=None, x=None):
-        args = _broadcast(self.axes, s, t, x)
-        if not args:
-            return float(self.fn())
-        out = self.fn(*args)
-        return np.broadcast_to(np.asarray(out, dtype=float), args[0].shape).copy()
+        return self._evaluate(self.fn, s, t, x)
 
     def ds(self, s=None, t=None, x=None):
         if self.d_ds is None:
             raise RateSpecError("rate has no size derivative")
-        args = _broadcast(self.axes, s, t, x)
-        out = self.d_ds(*args)
-        return np.broadcast_to(np.asarray(out, dtype=float), args[0].shape).copy()
+        return self._evaluate(self.d_ds, s, t, x)
+
+    def _evaluate(self, fn: Callable, s, t, x) -> np.ndarray:
+        args, shape = _broadcast(self.axes, s, t, x)
+        return np.broadcast_to(np.asarray(fn(*args), dtype=float), shape).copy()
 
 
 def constant(value: float, axes: tuple[str, ...]) -> RateField:
+    """A rate that varies over no axis; `axes` are its nominal axes, which
+    decide only whether it has a size derivative."""
     v = float(value)
-    return RateField(
-        axes=axes,
-        fn=lambda *args: np.full_like(args[0], v) if args else v,
-        d_ds=(lambda *args: np.zeros_like(args[0])) if "size" in axes else None,
-    )
+    return RateField(axes=(), fn=lambda: v, d_ds=(lambda: 0.0) if "size" in axes else None)
 
 
 def from_callable(fn: Callable, axes: tuple[str, ...], d_ds: Callable | None = None) -> RateField:
@@ -93,6 +97,8 @@ def from_preset(name: str, axes: tuple[str, ...], params: dict, x_length: float 
       separable-product   a * (1 + bs*s) * (1 + bt*t) * (1 + bx*x)
       cosine-mode-in-x    a + b*cos(mode*pi*x/L)
     Factors on axes the rate does not have must be left at their defaults.
+    `axes` are the rate's nominal axes; the rate reads only those its
+    formula uses.
     """
     p = dict(params)
     if name == "constant":
@@ -106,51 +112,45 @@ def from_preset(name: str, axes: tuple[str, ...], params: dict, x_length: float 
             raise RateSpecError("linear-in-s preset on a rate without a size axis")
         a, b = float(p.pop("a", 0.0)), float(p.pop("b", 0.0))
         _reject_leftover(name, p)
-        idx = axes.index("size")
-        return RateField(
-            axes=axes,
-            fn=lambda *args: a + b * args[idx],
-            d_ds=lambda *args: np.full_like(args[0], b),
-        )
+        return RateField(axes=("size",), fn=lambda s: a + b * s, d_ds=lambda s: b)
     if name == "linear-in-t":
         if "time" not in axes:
             raise RateSpecError("linear-in-t preset on a rate without a time axis")
         a, b = float(p.pop("a", 0.0)), float(p.pop("b", 0.0))
         _reject_leftover(name, p)
-        idx = axes.index("time")
-        return RateField(
-            axes=axes,
-            fn=lambda *args: a + b * args[idx],
-            d_ds=(lambda *args: np.zeros_like(args[0])) if "size" in axes else None,
-        )
+        return RateField(axes=("time",), fn=lambda t: a + b * t,
+                         d_ds=(lambda t: 0.0) if "size" in axes else None)
     if name == "separable-product":
         a = float(p.pop("a", 1.0))
         bs = float(p.pop("bs", 0.0))
         bt = float(p.pop("bt", 0.0))
         bx = float(p.pop("bx", 0.0))
         _reject_leftover(name, p)
-        for coeff, ax in ((bs, "size"), (bt, "time"), (bx, "space")):
-            if coeff != 0.0 and ax not in axes:
+        # a zero coefficient makes its factor exactly 1, so the rate does
+        # not vary over that axis and the factor is left out
+        factors = [(coeff, ax) for coeff, ax in ((bs, "size"), (bt, "time"), (bx, "space"))
+                   if coeff != 0.0]
+        for _, ax in factors:
+            if ax not in axes:
                 raise RateSpecError(f"separable-product uses the {ax} axis which this rate lacks")
 
         def fn(*args):
-            out = np.full_like(args[0], a)
-            for coeff, ax in ((bs, "size"), (bt, "time"), (bx, "space")):
-                if ax in axes:
-                    out = out * (1.0 + coeff * args[axes.index(ax)])
+            out = a
+            for (coeff, _), arg in zip(factors, args):
+                out = out * (1.0 + coeff * arg)
             return out
 
         d_ds = None
         if "size" in axes:
 
             def d_ds(*args):
-                out = np.full_like(args[0], a * bs)
-                for coeff, ax in ((bt, "time"), (bx, "space")):
-                    if ax in axes:
-                        out = out * (1.0 + coeff * args[axes.index(ax)])
+                out = a * bs
+                for (coeff, ax), arg in zip(factors, args):
+                    if ax != "size":
+                        out = out * (1.0 + coeff * arg)
                 return out
 
-        return RateField(axes=axes, fn=fn, d_ds=d_ds)
+        return RateField(axes=tuple(ax for _, ax in factors), fn=fn, d_ds=d_ds)
     if name == "cosine-mode-in-x":
         if "space" not in axes:
             raise RateSpecError("cosine-mode-in-x preset on a rate without a space axis")
@@ -163,13 +163,9 @@ def from_preset(name: str, axes: tuple[str, ...], params: dict, x_length: float 
             raise RateSpecError(f"cosine-mode-in-x mode must be an integer, got {mode!r}")
         mode = int(mode)
         _reject_leftover(name, p)
-        idx = axes.index("space")
         w = mode * np.pi / x_length
-        return RateField(
-            axes=axes,
-            fn=lambda *args: a + b * np.cos(w * args[idx]),
-            d_ds=(lambda *args: np.zeros_like(args[0])) if "size" in axes else None,
-        )
+        return RateField(axes=("space",), fn=lambda x: a + b * np.cos(w * x),
+                         d_ds=(lambda x: 0.0) if "size" in axes else None)
     raise RateSpecError(f"unknown preset {name!r}; catalog is {PRESET_NAMES}")
 
 

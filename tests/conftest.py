@@ -118,6 +118,28 @@ def random_nonneg_scenario(seed: int, Ns: int = 6, Nt: int = 8, Nx: int = 6) -> 
     return validate_scenario(sc)
 
 
+def tabulated_scenario(seed: int = 12, Ns: int = 6, Nt: int = 5, Nx: int = 4) -> ValidatedScenario:
+    """mu, r, f, phi_l and phi_m tabulated on (size, time, space): every
+    rate the solvers sample on the full grid varies over all three axes."""
+    rng = np.random.default_rng(seed)
+    grid = Grid3(Ns=Ns, Nt=Nt, Nx=Nx, s_f=1.0, T=1.0, L=1.0)
+    axes = ("size", "time", "space")
+    shape = tuple(grid.axis_len(a) for a in axes)
+    coords = [grid.axis_coords(a) for a in axes]
+
+    def table(lo, hi):
+        return rate_lib.from_table(lo + (hi - lo) * rng.random(shape), axes, coords)
+
+    rates = VitalRates.constants(gamma=rate_lib.from_preset("linear-in-s", ("size", "time"),
+                                                            {"a": 0.4, "b": 0.3}),
+                                 mu=table(0.0, 0.3), r=table(0.2, 0.8), f=table(0.0, 0.1),
+                                 C=0.2, p0=1.0)
+    sc = Scenario(grid=grid, rates=rates, k=0.01,
+                  bounds=ControlBounds(table(0.0, 0.2), table(0.8, 1.0)),
+                  cost=CostParams(rho=10.0))
+    return validate_scenario(sc)
+
+
 def assemble_step_matrix(vsc: ValidatedScenario, beta, j: int, adjoint: bool = False) -> np.ndarray:
     """Dense matrix of the linear one-step map (or its adjoint) at level j.
 

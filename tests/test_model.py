@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
+import json
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sizepop import rates as rate_lib
+from sizepop.adjoint import solve_adjoint
+from sizepop.forward import solve_state
 from sizepop.model import (
     ControlBounds,
     CostParams,
@@ -22,9 +25,19 @@ from sizepop.model import (
     _grid_eval_full,
     validate_scenario,
 )
+from sizepop.optimizer import optimize
 from sizepop.presets import smooth_default
-from sizepop.scenario_io import ScenarioFileError, parse_scenario, read_field_csv, write_field_csv
-from conftest import full_field
+from sizepop.scenario_io import (
+    ScenarioFileError,
+    parse_scenario,
+    read_field_csv,
+    scenario_from_dict,
+    write_field_csv,
+)
+from conftest import full_field, tabulated_scenario
+
+SMOOTH_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "smooth.json"
+STX = ("size", "time", "space")
 
 
 def _scenario(**overrides):
@@ -262,3 +275,120 @@ def test_smooth_preset_is_the_smooth_scenario_file():
     np.testing.assert_array_equal(a.Fsrc, b.Fsrc)
     np.testing.assert_array_equal(a.stencil_cols, b.stencil_cols)
     np.testing.assert_array_equal(a.stencil_weights, b.stencil_weights)
+
+
+def _smooth_doc(**edits) -> dict:
+    """The smooth scenario file as a dict, with `rates.<key>` or
+    `bounds.<key>` entries replaced."""
+    doc = json.loads(SMOOTH_FILE.read_text())
+    for dotted, value in edits.items():
+        section, key = dotted.split(".")
+        doc[section][key] = value
+    return doc
+
+
+def _bad_r_table() -> list:
+    """A female-ratio table of the smooth grid with one entry above 1 and
+    a later one in C order below 0."""
+    table = np.full((20, 21, 10), 0.5)
+    table[3, 7, 4] = 1.5
+    table[5, 2, 1] = -0.2
+    return table.tolist()
+
+
+@pytest.mark.parametrize("edits,messages", [
+    ({"rates.r": 1.0}, ["A5 violated: r >= 1 at (i=0,j=0,k=0)"]),
+    ({"rates.mu": -0.1}, ["nonnegativity violated: mu < 0 at (i=0,j=0,k=0)"]),
+    ({"rates.f": -1}, ["nonnegativity violated: f < 0 at (i=0,j=0,k=0)"]),
+    ({"bounds.phi_l": 2.0}, ["bounds violated: phi_l > phi_m at (i=0,j=0,k=0)"]),
+    ({"rates.mu": {"preset": "separable-product", "a": -0.1, "bs": 0.5}},
+     ["nonnegativity violated: mu < 0 at (i=0,j=0,k=0)"]),
+    ({"rates.r": {"preset": "separable-product", "a": 0.5, "bt": 2.0}},
+     ["A5 violated: r >= 1 at (i=0,j=10,k=0)"]),
+    ({"rates.mu": {"preset": "separable-product", "a": 0.1, "bt": 0.5, "bx": -2.0}},
+     ["nonnegativity violated: mu < 0 at (i=0,j=0,k=5)"]),
+    ({"rates.r": {"preset": "linear-in-s", "a": 0.5, "b": -1.0}},
+     ["A5 violated: r <= 0 at (i=10,j=0,k=0)"]),
+    ({"rates.r": {"preset": "linear-in-t", "a": 0.5, "b": 1.0}},
+     ["A5 violated: r >= 1 at (i=0,j=10,k=0)"]),
+    ({"rates.f": {"preset": "cosine-mode-in-x", "a": 0.0, "b": 1.0, "mode": 1}},
+     ["nonnegativity violated: f < 0 at (i=0,j=0,k=5)"]),
+    ({"bounds.phi_l": {"preset": "separable-product", "a": 0.1, "bx": -2.0}},
+     ["bounds violated: phi_l < 0 at (i=0,j=0,k=5)"]),
+    ({"bounds.phi_m": {"preset": "separable-product", "a": 1.0, "bs": -1.5}},
+     ["bounds violated: phi_l > phi_m at (i=13,j=0,k=0)"]),
+    ({"rates.r": 0.0, "rates.mu": -1, "bounds.phi_l": -0.5,
+      "rates.f": {"preset": "linear-in-s", "a": 0.1, "b": -1}},
+     ["nonnegativity violated: mu < 0 at (i=0,j=0,k=0)",
+      "nonnegativity violated: f < 0 at (i=2,j=0,k=0)",
+      "A5 violated: r <= 0 at (i=0,j=0,k=0)",
+      "bounds violated: phi_l < 0 at (i=0,j=0,k=0)"]),
+    ({"rates.r": {"table": _bad_r_table()}},
+     ["A5 violated: r <= 0 at (i=5,j=2,k=1)", "A5 violated: r >= 1 at (i=3,j=7,k=4)"]),
+])
+def test_violation_names_the_first_bad_cell_of_the_full_grid(edits, messages):
+    # a rate is sampled only along the axes it varies over; the message
+    # names the first bad cell of the whole (Ns, Nt+1, Nx) grid in C order
+    with pytest.raises(ScenarioValidationError) as exc:
+        validate_scenario(scenario_from_dict(_smooth_doc(**edits)))
+    assert exc.value.violations == messages
+
+
+def _sampled_on_every_axis(rate):
+    """The same rate as a callable of (s, t, x): sampled on all three axes,
+    evaluated on full broadcast arrays."""
+    return rate_lib.from_callable(lambda s, t, x: rate(s=s, t=t, x=x), STX)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: validate_scenario(scenario_from_dict(_smooth_doc())),
+    lambda: smooth_default(12, 9, 6, seed=4),
+])
+def test_compact_samples_change_no_output_bit(make):
+    # sampling a rate once along the axes it does not vary over and
+    # broadcasting changes no arithmetic: every array a solver reads and
+    # every output is bit-identical to sampling it on the full grid
+    compact = make()
+    sc = compact.scenario
+    full = validate_scenario(replace(
+        sc,
+        rates=replace(sc.rates, **{n: _sampled_on_every_axis(getattr(sc.rates, n))
+                                   for n in ("mu", "r", "f")}),
+        bounds=ControlBounds(_sampled_on_every_axis(sc.bounds.phi_l),
+                             _sampled_on_every_axis(sc.bounds.phi_m))))
+    assert 0 in compact.r_grid.strides and 0 not in full.r_grid.strides
+    assert 0 in compact.step_context.E.strides and 0 not in full.step_context.E.strides
+    pairs = [(getattr(compact, n), getattr(full, n))
+             for n in ("r_grid", "phi_l_grid", "phi_m_grid")]
+    pairs += [(getattr(compact.step_context, n), getattr(full.step_context, n))
+              for n in ("E", "Fsrc", "stencil_weights")]
+    beta = compact.phi_l_grid + 0.35 * (compact.phi_m_grid - compact.phi_l_grid)
+    outputs = []
+    for vsc in (compact, full):
+        state = solve_state(vsc, beta)
+        adj = solve_adjoint(vsc, state)
+        rep = optimize(vsc.with_tolerances(max_iters=6))
+        outputs.append([state.p.values, state.newborn_density.values, adj.phi.values,
+                        adj.phi_at_zero.values, rep.beta_opt.values, rep.J_history,
+                        np.array(list(rep.contraction.to_dict().values()), dtype=float)])
+    pairs += zip(*outputs)
+    for a, b in pairs:
+        assert a.shape == b.shape
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def test_tabulated_rates_keep_the_full_grid():
+    # the no-gain limit: rates tabulated on (size, time, space) vary over
+    # every axis, so their samples and the reaction arrays stay full grids
+    # (test_step_build checks the reaction arrays against a per-cell build)
+    vsc = tabulated_scenario()
+    grid = vsc.grid
+    coords = np.meshgrid(*(grid.axis_coords(a) for a in STX), indexing="ij")
+    sc = vsc.scenario
+    for arr, rate in ((vsc.r_grid, sc.rates.r), (vsc.phi_l_grid, sc.bounds.phi_l),
+                      (vsc.phi_m_grid, sc.bounds.phi_m)):
+        assert arr.shape == coords[0].shape and 0 not in arr.strides
+        assert np.array_equal(arr, rate(s=coords[0], t=coords[1], x=coords[2]))
+    ctx = vsc.step_context
+    for arr in (ctx.E, ctx.Fsrc):
+        assert arr.shape == (grid.Nt, grid.Ns, grid.Nx) and 0 not in arr.strides

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import gc
+import json
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,9 +32,11 @@ from sizepop.optimizer import (
     optimize,
 )
 from sizepop.presets import smooth_default, tiny_random
+from sizepop.scenario_io import scenario_from_dict
 from conftest import full_field, unit_scenario, with_cost
 
 GRID = Grid3(Ns=4, Nt=5, Nx=4, s_f=1.0, T=1.0, L=1.0)
+SMOOTH_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "smooth.json"
 
 
 def _state(grid, p_value, beta) -> StateSolution:
@@ -222,6 +226,7 @@ class TestOptimize:
         grid = vsc.grid
         control_bytes = 8 * grid.Ns * (grid.Nt + 1) * grid.Nx
         vsc.step_context  # built before the baseline is taken
+        np.random.default_rng  # numpy imports its random module on first use
         held = {}
 
         def diagnostics_on_a_clean_slate(vsc, samples):
@@ -244,6 +249,66 @@ class TestOptimize:
         assert rep.iterations >= 2 and rep.contraction is not None
         # the control itself, plus well under one more control-sized array
         assert held["after_sweep"] - before < 2 * control_bytes
+
+    def test_random_samples_are_drawn_in_place(self, monkeypatch):
+        # each random sample is phi_l + u*(phi_m - phi_l) bit for bit, built
+        # in its own draw: until the diagnostics start, the run never holds
+        # more than the control and the two samples at full-grid size
+        vsc = smooth_default(40, 40, 20)
+        grid = vsc.grid
+        shape = (grid.Ns, grid.Nt + 1, grid.Nx)
+        control_bytes = 8 * grid.Ns * (grid.Nt + 1) * grid.Nx
+        vsc.step_context
+        np.random.default_rng
+        held = {}
+
+        def record(vsc, samples):
+            held["peak"] = tracemalloc.get_traced_memory()[1]
+            held["samples"] = samples
+            raise ValueError("diagnostics skipped")
+
+        monkeypatch.setattr(opt_mod, "contraction_diagnostics", record)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rep = optimize(vsc)
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert rep.contraction is None
+        rng = np.random.default_rng(vsc.tolerances.seed)
+        for sample in held["samples"][3:]:
+            want = vsc.phi_l_grid + rng.random(shape) * (vsc.phi_m_grid - vsc.phi_l_grid)
+            assert sample.tobytes() == want.tobytes()
+        assert held["peak"] - before < 3.5 * control_bytes
+
+    @pytest.mark.parametrize("source", ["scenario file", "preset"])
+    def test_rates_are_held_on_the_axes_they_vary_over(self, source):
+        # in the smooth scenario r, phi_l and phi_m are constants and mu and
+        # f have no space axis: each of the five arrays below owns at most
+        # an (Nt+1, Ns) array, where a full grid would be Nx = 20 times that
+        if source == "preset":
+            vsc = smooth_default(40, 40, 20)
+        else:
+            doc = json.loads(SMOOTH_FILE.read_text())
+            doc["grid"].update(Ns=40, Nt=40, Nx=20)
+            vsc = validate_scenario(scenario_from_dict(doc))
+        grid = vsc.grid
+        ctx = vsc.step_context
+        for name, arr, shape in (
+            ("r_grid", vsc.r_grid, (grid.Ns, grid.Nt + 1, grid.Nx)),
+            ("phi_l_grid", vsc.phi_l_grid, (grid.Ns, grid.Nt + 1, grid.Nx)),
+            ("phi_m_grid", vsc.phi_m_grid, (grid.Ns, grid.Nt + 1, grid.Nx)),
+            ("E", ctx.E, (grid.Nt, grid.Ns, grid.Nx)),
+            ("Fsrc", ctx.Fsrc, (grid.Nt, grid.Ns, grid.Nx)),
+        ):
+            assert arr.shape == shape, name
+            assert not arr.flags.writeable, name
+            owner = arr
+            while owner.base is not None:
+                owner = owner.base
+            assert owner.nbytes <= 8 * (grid.Nt + 1) * grid.Ns, name
 
 
 class TestContractionDiagnostics:

@@ -127,3 +127,35 @@ class TestTables:
         with pytest.raises(RateSpecError, match="two or more"):
             rate_lib.from_table(np.zeros((1, 2)), ("size", "space"),
                                 [np.array([0.5]), np.array([0.0, 1.0])])
+
+
+def test_axes_are_those_the_rate_varies_over():
+    stx = ("size", "time", "space")
+    coords = [GRID.axis_coords(a) for a in stx]
+    cases = [
+        (rate_lib.constant(0.7, stx), ()),
+        (rate_lib.from_preset("constant", stx, {"value": 0.7}), ()),
+        (rate_lib.from_preset("separable-product", stx, {"a": 0.1, "bs": 0.5}), ("size",)),
+        (rate_lib.from_preset("separable-product", stx, {"a": 0.1, "bs": 0.0, "bt": 0.2,
+                                                         "bx": -0.1}), ("time", "space")),
+        (rate_lib.from_preset("linear-in-t", stx, {"a": 0.1, "b": 0.2}), ("time",)),
+        (rate_lib.from_preset("cosine-mode-in-x", stx, {"a": 1.0}, x_length=GRID.L), ("space",)),
+        (rate_lib.from_table(np.ones((6, 6, 4)), stx, coords), stx),
+    ]
+    for rate, axes in cases:
+        assert rate.axes == axes
+    # a call returns the broadcast shape of the coordinates given
+    out = cases[2][0](s=np.zeros((3, 1, 1)), t=np.zeros((1, 1, 1)), x=np.zeros((1, 1, 1)))
+    assert out.shape == (3, 1, 1)
+
+
+def test_size_derivative_follows_the_nominal_axes():
+    # a constant growth rate varies over no axis but has a zero size derivative
+    gamma = rate_lib.constant(1.3, ("size", "time"))
+    got = gamma.ds(s=np.array([0.1, 0.5]), t=np.array([0.0, 1.0]))
+    assert got.shape == (2,) and not got.any()
+    flat = rate_lib.from_preset("separable-product", ("size", "time"), {"a": 2.0, "bt": 0.5})
+    assert flat.ds(s=np.ones(3), t=np.full(3, 1.0)).tolist() == [0.0, 0.0, 0.0]
+    assert rate_lib.constant(1.0, ("time", "space")).d_ds is None
+    with pytest.raises(RateSpecError, match="no size derivative"):
+        rate_lib.from_preset("linear-in-t", ("time", "space"), {"a": 1.0}).ds(t=0.0, x=0.0)

@@ -31,7 +31,7 @@ from sizepop.presets import (
     smooth_default,
     tiny_random,
 )
-from conftest import random_nonneg_scenario
+from conftest import random_nonneg_scenario, tabulated_scenario
 
 
 def scalar_bisect(f, lo, hi, tol=1e-12):
@@ -152,6 +152,7 @@ SCENARIOS = {
     "random_nonneg_case_b": lambda: random_nonneg_scenario(5),
     "random_nonneg_case_c": lambda: random_nonneg_scenario(1),
     "random_nonneg_case_d": lambda: random_nonneg_scenario(0),
+    "tabulated_scenario": tabulated_scenario,
 }
 
 
