@@ -13,8 +13,6 @@ from .forward import (
     StepContext,
     march_states,
     solve_state,
-    solve_states,
-    step_diffusion,
     total_population,
 )
 from .model import (

@@ -78,9 +78,10 @@ def march_adjoint(vsc: ValidatedScenario, betas):
     ctx = vsc.step_context
     grid = vsc.grid
     c = vsc.cost.c
-    wx = grid.space_weights() * grid.dx
-    source = grid.ds * grid.dt * wx[None, :] * np.ones((grid.Ns, 1))
-    cell_volume = grid.ds * wx[None, :]
+    wx = grid.space_weights()
+    cell_volume = grid.ds * wx
+    # the weights of every level but the last, which is zero
+    source = grid.volume_weights()[0]
     lead = level_slice(betas, grid.Nt).shape[:-2]
     lam = np.zeros(lead + (grid.Ns, grid.Nx))
     yield grid.Nt, np.zeros_like(lam), np.zeros(lead + (grid.Nx,))
@@ -137,9 +138,8 @@ def solve_sensitivity(vsc: ValidatedScenario, state: StateSolution, delta) -> Fi
         b = (ctx.births(j, state.beta[:, j, :], z[:, j, :])
              + ctx.births(j, delta_arr[:, j, :], p[:, j, :]))
         z[:, j + 1, :] = ctx._advance(j, z[:, j, :], b)
-    out = Field(grid, ("size", "time", "space"), z)
-    out.check_finite()
-    return out
+        _check_level(z[:, j + 1, :], "sensitivity", j + 1)
+    return Field(grid, ("size", "time", "space"), z)
 
 
 def duality_residual(vsc: ValidatedScenario, state: StateSolution,

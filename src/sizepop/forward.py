@@ -72,11 +72,11 @@ slice without the leading axis is the same code with no batch dimension.
 
 march_states marches the state forward and hands over each time level as
 it is reached; adjoint.march_adjoint does the same backward.  A caller that
-needs the whole field stores the levels (solve_states, solve_state,
-solve_adjoint); the optimizer's sweep and its contraction diagnostics keep
-only what they reduce each level to, so they hold no full state or adjoint
-field.  A batch given as separate controls is stacked one level slice per
-step, never as a (K, Ns, Nt+1, Nx) copy.
+needs the whole field stores the levels (solve_state, solve_adjoint); the
+optimizer's sweep, its cost of a batch of controls and its contraction
+diagnostics keep only what they reduce each level to, so they hold no full
+state or adjoint field.  A batch given as separate controls is stacked one
+level slice per step, never as a (K, Ns, Nt+1, Nx) copy.
 """
 
 from __future__ import annotations
@@ -443,20 +443,10 @@ class StateSolution:
     beta: np.ndarray
 
 
-def step_diffusion(p_tilde: Field, k: float, dt: float) -> Field:
-    """One backward-Euler Neumann diffusion step per size cell."""
-    if not k > 0:
-        raise ValueError("diffusion coefficient must be positive")
-    grid = p_tilde.grid
-    diffusion = DiffusionSolve(*_neumann_bands(grid.Nx, grid.dx, k, dt))
-    return Field(grid, p_tilde.axes, diffusion.solve(p_tilde.values))
-
-
 def total_population(p: Field) -> np.ndarray:
     """P(t): midpoint-in-size, trapezoid-in-space quadrature per time level."""
     grid = p.grid
-    w = grid.space_weights() * grid.dx
-    return (p.values * w[None, None, :]).sum(axis=(0, 2)) * grid.ds
+    return (p.values * grid.space_weights()[None, None, :]).sum(axis=(0, 2)) * grid.ds
 
 
 def level_slice(betas, j: int) -> np.ndarray:
@@ -506,45 +496,19 @@ def march_states(vsc: ValidatedScenario, betas):
     yield nt, p_j, (ctx.newborn_value(nt, beta_j, p_j) if ctx.has_renewal else p_j[..., 0, :])
 
 
-def _stored_states(vsc: ValidatedScenario, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every level of march_states for a control array: the densities,
-    shape (..., Ns, Nt+1, Nx), and the newborn traces, (..., Nt+1, Nx)."""
-    grid = vsc.grid
-    lead = betas.shape[:-3]
-    # the march builds the step context on first use; building it before the
-    # output exists keeps the build's peak and the output apart
-    vsc.step_context
-    p = np.empty(lead + (grid.Ns, grid.Nt + 1, grid.Nx))
-    newborn = np.empty(lead + (grid.Nt + 1, grid.Nx))
-    for j, p_j, b_j in march_states(vsc, betas):
-        p[..., j, :] = p_j
-        newborn[..., j, :] = b_j
-    return p, newborn
-
-
-def solve_states(vsc: ValidatedScenario, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """March K controls at once from the initial slice to the horizon.
-
-    `betas` has shape (K, Ns, Nt+1, Nx).  Returns the densities, shape
-    (K, Ns, Nt+1, Nx), and the newborn boundary traces, shape (K, Nt+1, Nx);
-    for cases without a renewal boundary the trace is the constant
-    extrapolation of the first size cell.  Aborts on the first non-finite
-    value, naming the batch member when K > 1.
-    """
-    grid = vsc.grid
-    betas = np.asarray(betas, dtype=float)
-    if betas.ndim != 4 or betas.shape[1:] != (grid.Ns, grid.Nt + 1, grid.Nx):
-        raise ValueError(f"control batch shape {betas.shape} != "
-                         f"(K, {grid.Ns}, {grid.Nt + 1}, {grid.Nx})")
-    return _stored_states(vsc, betas)
-
-
 def solve_state(vsc: ValidatedScenario, beta) -> StateSolution:
     """March the density from the initial slice to the horizon, storing
     every level of march_states."""
     grid = vsc.grid
     beta_arr = control_array(grid, beta)
-    p, newborn = _stored_states(vsc, beta_arr)
+    # the march builds the step context on first use; building it before the
+    # output exists keeps the build's peak and the output apart
+    vsc.step_context
+    p = np.empty((grid.Ns, grid.Nt + 1, grid.Nx))
+    newborn = np.empty((grid.Nt + 1, grid.Nx))
+    for j, p_j, b_j in march_states(vsc, beta_arr):
+        p[:, j, :] = p_j
+        newborn[j] = b_j
     beta_frozen = beta_arr.copy()
     beta_frozen.flags.writeable = False
     return StateSolution(

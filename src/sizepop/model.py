@@ -80,27 +80,24 @@ class Grid3:
         return {"size": self.s_centers, "time": self.t_points, "space": self.x_points}[axis]
 
     def space_weights(self) -> np.ndarray:
-        """Trapezoid node weights in x (half weight at the two ends)."""
+        """Trapezoid weights in x, dx at interior nodes and dx/2 at the two
+        ends, shape (Nx,)."""
         w = np.ones(self.Nx)
         w[0] = w[-1] = 0.5
-        return w
-
-    def time_weights(self) -> np.ndarray:
-        """Left-endpoint rule weights over the Nt+1 time levels.
-
-        The final level carries zero weight, which is what makes the
-        discrete-transpose adjoint vanish identically at t = T.
-        """
-        w = np.ones(self.Nt + 1)
-        w[-1] = 0.0
-        return w
+        return w * self.dx
 
     def volume_weights(self) -> np.ndarray:
         """Quadrature weights for integrals over (s, t, x): midpoint in size,
-        left-endpoint in time, trapezoid in space.  Shape (Ns, Nt+1, Nx)."""
-        wt = self.time_weights() * self.dt
-        wx = self.space_weights() * self.dx
-        return self.ds * wt[None, :, None] * wx[None, None, :] * np.ones((self.Ns, 1, 1))
+        left endpoint in time, trapezoid in space.  Shape (Nt+1, Nx), the
+        weights of one size cell, the same for every cell: they broadcast
+        against any (..., Ns, Nt+1, Nx) field.
+
+        The final time level carries zero weight, which is what makes the
+        discrete-transpose adjoint vanish identically at t = T.
+        """
+        wt = np.full(self.Nt + 1, self.dt)
+        wt[-1] = 0.0
+        return self.ds * wt[:, None] * self.space_weights()
 
     def validate(self) -> list[str]:
         bad = []
@@ -151,11 +148,6 @@ class Field:
             raise ValueError(f"field shape {vals.shape} does not match axes {self.axes} -> {expected}")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    def check_finite(self) -> None:
-        if not np.all(np.isfinite(self.values)):
-            idx = tuple(int(v) for v in np.argwhere(~np.isfinite(self.values))[0])
-            raise NumericalError(f"non-finite field value at {dict(zip(self.axes, idx))}")
 
 
 @dataclass(frozen=True)

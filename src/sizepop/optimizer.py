@@ -11,7 +11,9 @@ control, and its march keeps just the trace phi0, shape (Nt+1, Nx).  The
 state march follows; at each time level it adds that level's share of J
 and forms, clips and relaxes the level's update into the next control.  No
 full state, adjoint or update field is held, only the control and its
-successor.  Convergence is guaranteed when the reported contraction ratio
+successor.  The cost of a batch of controls is summed the same way, level
+share by level share as the batch marches, so every J is one reduction in
+one order.  Convergence is guaranteed when the reported contraction ratio
 (M1*M4 + M2*M3)/(c*rho) is below one; the diagnostics estimate the four
 constants empirically from sample controls, marched as one batch forward
 and one backward that keep running maxima.  Every march reads the
@@ -26,7 +28,7 @@ import numpy as np
 
 from .adjoint import AdjointSolution, march_adjoint
 from .forward import StateSolution, level_slice, march_states
-from .model import CostParams, Field, Grid3, ValidatedScenario, control_array
+from .model import CostParams, Field, ValidatedScenario, control_array
 
 # seeded random controls sampled by the contraction diagnostics, besides the
 # two box corners and the optimum
@@ -75,23 +77,47 @@ class OptimizationReport:
         }
 
 
-def _cost_density(p, beta, cost: CostParams):
-    """Integrand of J: p -/+ rho/2 * beta^2."""
-    return p + cost.control_sign * 0.5 * cost.rho * beta**2
+def _level_cost(w_j: np.ndarray, p_j: np.ndarray, beta_j: np.ndarray,
+                cost: CostParams) -> np.ndarray:
+    """Level j's share of J: the sum of w_j * (p_j -/+ rho/2 * beta_j^2) over
+    the last two axes (size, space), one value per leading index.  Every J
+    is the sum of these shares over j = 0, ..., Nt, in that order."""
+    return (w_j * (p_j + cost.control_sign * 0.5 * cost.rho * beta_j**2)).sum(axis=(-2, -1))
 
 
-def evaluate_costs(grid: Grid3, p: np.ndarray, beta: np.ndarray, cost: CostParams) -> np.ndarray:
-    """J of every control along the leading axes of `p` and `beta`, whose
-    last three axes are (size, time, space): each member's integrand is
-    summed over those three axes only."""
+def evaluate_costs(vsc: ValidatedScenario, betas) -> np.ndarray:
+    """J of each of K controls, given as an array of shape (K, Ns, Nt+1, Nx).
+
+    The controls march as one batch and each level is reduced to its share
+    of J as it is reached, so no state is stored.  Aborts on the first
+    non-finite value, naming the batch member when K > 1.
+    """
+    grid = vsc.grid
+    betas = np.asarray(betas, dtype=float)
+    if betas.ndim != 4 or betas.shape[1:] != (grid.Ns, grid.Nt + 1, grid.Nx):
+        raise ValueError(f"control batch shape {betas.shape} != "
+                         f"(K, {grid.Ns}, {grid.Nt + 1}, {grid.Nx})")
     w = grid.volume_weights()
-    return (w * _cost_density(p, beta, cost)).sum(axis=(-3, -2, -1))
+    J = np.zeros(len(betas))
+    for j, p_j, _b_j in march_states(vsc, betas):
+        J += _level_cost(w[j], p_j, level_slice(betas, j), vsc.cost)
+    return J
 
 
 def evaluate_cost(state: StateSolution, cost: CostParams) -> float:
     """J = integral of [p -/+ rho/2 * beta^2] under the volume quadrature,
-    at the control the state was solved with."""
-    return float(evaluate_costs(state.p.grid, state.p.values, state.beta, cost))
+    at the control the state was solved with, summed level by level as the
+    sweep sums it.
+
+    Only tests call it: it is the stored-field form of the cost, which they
+    hold the sweep's J_history and evaluate_costs to, bit for bit.
+    """
+    grid = state.p.grid
+    w = grid.volume_weights()
+    J = 0.0
+    for j in range(grid.Nt + 1):
+        J += float(_level_cost(w[j], state.p.values[:, j, :], state.beta[:, j, :], cost))
+    return J
 
 
 def gradient_field(state: StateSolution, adjoint: AdjointSolution,
@@ -126,7 +152,11 @@ def _update_target(vsc: ValidatedScenario, p: np.ndarray, phi0: np.ndarray,
 def fixed_point_update(state: StateSolution, adjoint: AdjointSolution,
                        vsc: ValidatedScenario) -> Field:
     """Projected stationarity map over the whole grid: the sweep's per-level
-    update applied to a stored state and adjoint."""
+    update applied to a stored state and adjoint.
+
+    Only tests call it: it is the stored-field form of the update, which
+    they check the streamed sweep and its converged control against.
+    """
     return Field(vsc.grid, ("size", "time", "space"),
                  _update_target(vsc, state.p.values, adjoint.phi_at_zero.values[None, :, :]))
 
@@ -154,10 +184,7 @@ def optimize(vsc: ValidatedScenario, beta0=None,
     tol = vsc.tolerances.fixed_point_tol
     omega = vsc.tolerances.relax_omega
     max_iters = vsc.tolerances.max_iters
-    wt = grid.time_weights() * grid.dt
-    wx = grid.space_weights() * grid.dx
-    # row j holds the volume weights of level j, the same for every size
-    level_weights = grid.ds * wt[:, None] * wx
+    w = grid.volume_weights()
 
     if beta0 is None:
         beta = 0.5 * (vsc.phi_l_grid + vsc.phi_m_grid)
@@ -177,7 +204,7 @@ def optimize(vsc: ValidatedScenario, beta0=None,
         J = 0.0
         for j, p_j, _b_j in march_states(vsc, beta):
             at = np.s_[:, j, :]
-            J += float((level_weights[j] * _cost_density(p_j, beta[at], vsc.cost)).sum())
+            J += float(_level_cost(w[j], p_j, beta[at], vsc.cost))
             level = (1.0 - omega) * beta[at] + omega * _update_target(vsc, p_j, phi0[j], at)
             # with phi_l == phi_m the blend can round one ulp off the box; the
             # clip is an identity at omega = 1

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import presets
-from .forward import solve_state, solve_states, step_diffusion, total_population
-from .model import Field, Grid3, ValidatedScenario, _grid_eval_full
+from .forward import DiffusionSolve, _neumann_bands, solve_state, total_population
+from .model import Grid3, ValidatedScenario, _grid_eval_full
 from .adjoint import duality_residual, solve_adjoint
 from .optimizer import evaluate_costs, gradient_field, optimize
 
@@ -40,19 +40,19 @@ def oracle_heat_mode_decay() -> dict:
     k, dt = 0.01, 0.01
     x = grid.x_points
     rng = np.random.default_rng(0)
+    diffusion = DiffusionSolve(*_neumann_bands(grid.Nx, grid.dx, k, dt))
 
-    const = Field(grid, ("size", "space"), np.full((2, grid.Nx), 3.25))
-    err_const = float(np.abs(step_diffusion(const, k, dt).values - 3.25).max())
+    err_const = float(np.abs(diffusion.solve(np.full((2, grid.Nx), 3.25)) - 3.25).max())
 
     rnd = rng.random((2, grid.Nx))
-    w = grid.space_weights() * grid.dx
-    out = step_diffusion(Field(grid, ("size", "space"), rnd), k, dt).values
+    w = grid.space_weights()
+    out = diffusion.solve(rnd)
     err_mass = abs(float((out * w).sum() - (rnd * w).sum())) / abs(float((rnd * w).sum()))
 
     lam1 = 2.0 * (1.0 - np.cos(np.pi * grid.dx / grid.L)) / grid.dx**2
     factor = 1.0 / (1.0 + k * lam1 * dt)
     mode = np.cos(np.pi * x / grid.L)
-    got = step_diffusion(Field(grid, ("size", "space"), np.tile(mode, (2, 1))), k, dt).values
+    got = diffusion.solve(np.tile(mode, (2, 1)))
     err_mode = float(np.abs(got - factor * mode[None, :]).max())
 
     worst = max(err_const, err_mass, err_mode)
@@ -102,7 +102,7 @@ def mass_budget_residuals(vsc: ValidatedScenario, beta):
     st = solve_state(vsc, beta)
     grid = vsc.grid
     P = total_population(st.p)
-    wx = grid.space_weights() * grid.dx
+    wx = grid.space_weights()
     ds, dt = grid.ds, grid.dt
     p = st.p.values
     nb = st.newborn_density.values
@@ -186,20 +186,18 @@ def gradient_check(vsc: ValidatedScenario, n_directions: int = 5, seed: int = 0)
     """
     if n_directions < 1:
         raise ValueError(f"gradient check: directions >= 1 (got {n_directions})")
-    grid = vsc.grid
     rng = np.random.default_rng(seed)
     beta = vsc.phi_l_grid + 0.35 * (vsc.phi_m_grid - vsc.phi_l_grid)
     state = solve_state(vsc, beta)
     adj = solve_adjoint(vsc, state)
     g = gradient_field(state, adj, vsc).values
-    w = grid.volume_weights()
+    w = vsc.grid.volume_weights()
     eps = 1e-6 * max(float(np.abs(beta).max()), 1.0)
     deltas = np.stack([rng.standard_normal(beta.shape) for _ in range(n_directions)])
     # members 2d and 2d+1 are beta +/- eps * delta_d
     controls = np.stack([beta + eps * deltas, beta - eps * deltas], axis=1)
     controls = controls.reshape((2 * n_directions,) + beta.shape)
-    p, _ = solve_states(vsc, controls)
-    J = evaluate_costs(grid, p, controls, vsc.cost)
+    J = evaluate_costs(vsc, controls)
     rows = []
     for d_idx, delta in enumerate(deltas):
         analytic = float((w * g * delta).sum())
@@ -243,8 +241,7 @@ def brute_force_search(vsc: ValidatedScenario, n_levels: int = 21):
         """J for each row of per-level values, shape (K, n_dof)."""
         b = np.full((len(vals), grid.Ns, grid.Nt + 1, grid.Nx), lo)
         b[:, :, :n_dof, :] = vals[:, None, :, None]
-        p, _ = solve_states(vsc, b)
-        return evaluate_costs(grid, p, b, vsc.cost)
+        return evaluate_costs(vsc, b)
 
     lattice = levels[np.indices((n_levels,) * n_dof).reshape(n_dof, -1).T]
     J = np.concatenate([costs(lattice[at:at + BRUTE_FORCE_BATCH])

@@ -214,7 +214,7 @@ def _lipschitz_ratios(level: int, n_pairs: int, seed: int):
     rng = np.random.default_rng(seed)
     base = smooth_default(10 * level, 10 * level, 6 * level)
     grid = base.grid
-    wx = grid.space_weights() * grid.dx
+    wx = grid.space_weights()
 
     def l1_t(a):  # L1 over (s, x) per time level, then worst level after t = 0
         return float((np.abs(a) * wx[None, None, :]).sum(axis=(0, 2))[1:].max() * grid.ds)

@@ -90,6 +90,16 @@ class TestSensitivity:
         z = solve_sensitivity(vsc, st, 0.0).values
         assert np.abs(z).max() == 0.0
 
+    def test_non_finite_level_is_named(self):
+        vsc = tiny_random(seed=3)
+        grid = vsc.grid
+        st = sp.solve_state(vsc, 0.5)
+        delta = np.zeros((grid.Ns, grid.Nt + 1, grid.Nx))
+        delta[0, 0, 0] = np.nan
+        with pytest.raises(NumericalError,
+                           match=r"non-finite sensitivity at \(i=0, j=1, k=0\)"):
+            solve_sensitivity(vsc, st, delta)
+
     def test_matches_state_response_to_newborn_inflow(self):
         # with beta = 0 the linearized system is the state system driven by
         # the extra birth integral as a newborn immigration term

@@ -15,7 +15,7 @@ from sizepop.forward import (
     DENSE_DIFFUSION_MAX_NX,
     DiffusionSolve,
     StepContext,
-    step_diffusion,
+    _neumann_bands,
     total_population,
 )
 from sizepop.model import (
@@ -100,18 +100,18 @@ class TestStepTransportReaction:
 class TestStepDiffusion:
     GRID = Grid3(Ns=2, Nt=2, Nx=51, s_f=1.0, T=1.0, L=1.0)
     K, DT = 0.01, 0.01
+    DIFFUSION = DiffusionSolve(*_neumann_bands(GRID.Nx, GRID.dx, K, DT))
 
     def test_constants_preserved(self):
-        fld = full_field(self.GRID, ("size", "space"), 3.7)
-        out = step_diffusion(fld, self.K, self.DT)
-        np.testing.assert_allclose(out.values, 3.7, atol=1e-12)
+        out = self.DIFFUSION.solve(np.full((2, self.GRID.Nx), 3.7))
+        np.testing.assert_allclose(out, 3.7, atol=1e-12)
 
     def test_spatial_mass_conserved(self, rng):
         vals = rng.random((2, self.GRID.Nx))
-        out = step_diffusion(Field(self.GRID, ("size", "space"), vals), self.K, self.DT)
-        w = self.GRID.space_weights() * self.GRID.dx
+        out = self.DIFFUSION.solve(vals)
+        w = self.GRID.space_weights()
         before = float((vals * w).sum())
-        after = float((out.values * w).sum())
+        after = float((out * w).sum())
         assert abs(after - before) <= 1e-12 * abs(before)
 
     def test_first_cosine_mode_decay(self):
@@ -120,9 +120,8 @@ class TestStepDiffusion:
         lam1 = 2.0 * (1.0 - np.cos(np.pi * grid.dx / grid.L)) / grid.dx**2
         factor = 1.0 / (1.0 + self.K * lam1 * self.DT)
         mode = np.cos(np.pi * grid.x_points / grid.L)
-        out = step_diffusion(Field(grid, ("size", "space"), np.tile(mode, (2, 1))),
-                             self.K, self.DT)
-        assert np.abs(out.values - factor * mode[None, :]).max() <= 1e-12
+        out = self.DIFFUSION.solve(np.tile(mode, (2, 1)))
+        assert np.abs(out - factor * mode[None, :]).max() <= 1e-12
 
 
     def test_singular_bands_raise_numerical_error(self):
@@ -163,7 +162,7 @@ class TestSolveState:
         st = sp.solve_state(vsc, 0.0)
         P = total_population(st.p)
         assert (np.diff(P) <= 1e-14).all()  # nonincreasing
-        wx = grid.space_weights() * grid.dx
+        wx = grid.space_weights()
         s = grid.s_centers
         scale = float(P.max()) * grid.dt
         for j in range(grid.Nt):
@@ -246,7 +245,7 @@ class TestProperties:
             s1 = sp.solve_state(coarse, 0.4)
             s2 = sp.solve_state(fine, 0.4)
             g = coarse.grid
-            wx = g.space_weights() * g.dx
+            wx = g.space_weights()
             d = np.abs(s1.p.values - restrict(s2.p.values))
             return float((d * wx[None, None, :]).sum() * g.ds * g.dt)
 

@@ -24,7 +24,7 @@ import pytest
 
 from sizepop import rates as rate_lib
 from sizepop.adjoint import solve_adjoint
-from sizepop.forward import DENSE_DIFFUSION_MAX_NX, solve_state, solve_states
+from sizepop.forward import DENSE_DIFFUSION_MAX_NX, march_states, solve_state
 from sizepop.model import Grid3, NumericalError
 from sizepop.optimizer import evaluate_cost, evaluate_costs, gradient_field
 from sizepop.oracles import brute_force_search, gradient_check
@@ -117,7 +117,7 @@ def reference_adjoint(vsc, beta):
     grid = vsc.grid
     sub, diag, sup = bands(vsc)
     c = vsc.cost.c
-    wx = grid.space_weights() * grid.dx
+    wx = grid.space_weights()
     source = grid.ds * grid.dt * wx[None, :] * np.ones((grid.Ns, 1))
     lam = np.zeros((grid.Ns, grid.Nx))
     phi = np.zeros((grid.Ns, grid.Nt + 1, grid.Nx))
@@ -177,15 +177,20 @@ def test_batched_march_matches_separate_solves(name, n):
     grid = vsc.grid
     betas = 0.2 + 0.5 * np.random.default_rng(11).random((n, grid.Ns, grid.Nt + 1, grid.Nx))
 
-    p, newborn = solve_states(vsc, betas)
-    costs = evaluate_costs(grid, p, betas, vsc.cost)
-    assert p.shape == (n, grid.Ns, grid.Nt + 1, grid.Nx)
-    assert newborn.shape == (n, grid.Nt + 1, grid.Nx)
-    for m in range(n):
-        state = solve_state(vsc, betas[m])
-        assert np.array_equal(p[m], state.p.values)
-        assert np.array_equal(newborn[m], state.newborn_density.values)
-        assert np.array_equal(p[m], reference_state(vsc, betas[m]))
+    states = [solve_state(vsc, beta) for beta in betas]
+    levels = []
+    for j, p_j, b_j in march_states(vsc, betas):
+        levels.append(j)
+        assert p_j.shape == (n, grid.Ns, grid.Nx)
+        assert b_j.shape == (n, grid.Nx)
+        for m, state in enumerate(states):
+            assert np.array_equal(p_j[m], state.p.values[:, j, :])
+            assert np.array_equal(b_j[m], state.newborn_density.values[j])
+    assert levels == list(range(grid.Nt + 1))
+    costs = evaluate_costs(vsc, betas)
+    assert costs.shape == (n,)
+    for m, state in enumerate(states):
+        assert np.array_equal(state.p.values, reference_state(vsc, betas[m]))
         assert costs[m] == evaluate_cost(state, vsc.cost)
 
 
@@ -194,10 +199,14 @@ def test_non_finite_batch_member_is_named():
     grid = vsc.grid
     betas = np.full((3, grid.Ns, grid.Nt + 1, grid.Nx), 0.4)
     betas[1, 0, 1, 0] = np.nan
-    with pytest.raises(NumericalError, match=r"batch member 1 at \(i=\d+, j=2, k=\d+\)"):
-        solve_states(vsc, betas)
+    named = r"batch member 1 at \(i=\d+, j=2, k=\d+\)"
+    with pytest.raises(NumericalError, match=named):
+        for _ in march_states(vsc, betas):
+            pass
+    with pytest.raises(NumericalError, match=named):
+        evaluate_costs(vsc, betas)
     with pytest.raises(ValueError, match="control batch shape"):
-        solve_states(vsc, betas[0])
+        evaluate_costs(vsc, betas[0])
 
 
 def looped_brute_force_search(vsc, n_levels):
