@@ -3,8 +3,9 @@
 Subcommands: simulate, adjoint, optimize, gradcheck, oracle.  Each run that
 produces files also writes a manifest recording the resolved options, the
 wall-clock duration, the seed, the sizepop, Python and numpy versions (the
-last bits of a solve depend on the numpy and BLAS build) and a SHA-256
-checksum of every artifact.
+last bits of a solve depend on the numpy and BLAS build), the grid and
+growth case of a run on one scenario, and a SHA-256 checksum of every
+artifact, computed from the bytes as they are written.
 Exit codes: 0 success, 1 usage or configuration error (including a file
 that cannot be read or written, and a control outside the box
 [phi_l, phi_m]), 2 oracle or check failure, 3 numerical failure, 4 internal
@@ -14,6 +15,7 @@ error.  A failure prints its message to stderr, never a traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import platform
@@ -47,16 +49,19 @@ EXIT_NUMERICAL = 3
 EXIT_INTERNAL = 4
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _write_text(path: Path, text: str) -> str:
+    """Write a text artifact; returns the SHA-256 hex digest of its bytes."""
+    data = text.encode()
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def write_manifest(out_dir: Path, subcommand: str, options: dict, started: float,
-                   artifacts: list[Path], seed: int | None = None) -> Path:
+                   artifacts: dict[Path, str], seed: int | None = None,
+                   vsc: ValidatedScenario | None = None) -> Path:
+    """Write manifest.json; `artifacts` maps each file written to its SHA-256,
+    and `vsc`, the run's one scenario if it has one, adds its grid and growth
+    case."""
     options = {k: v for k, v in options.items()
                if k not in ("fn", "command") and isinstance(v, (str, int, float, bool))}
     manifest = {
@@ -68,8 +73,11 @@ def write_manifest(out_dir: Path, subcommand: str, options: dict, started: float
         "duration_s": time.time() - started,
         "versions": {"sizepop": __version__, "python": platform.python_version(),
                      "numpy": np.__version__},
-        "artifacts": {p.name: _sha256(p) for p in artifacts},
+        "artifacts": {p.name: digest for p, digest in artifacts.items()},
     }
+    if vsc is not None:
+        manifest["grid"] = dataclasses.asdict(vsc.grid)
+        manifest["growth_case"] = vsc.growth_case.tag
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
@@ -110,12 +118,11 @@ def _cmd_simulate(args) -> int:
     state = solve_state(vsc, beta)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_field_csv(state.p, out / "p.csv")
-    write_field_csv(state.newborn_density, out / "newborns.csv")
-    write_field_csv(Field(vsc.grid, ("time",), total_population(state.p)), out / "population.csv")
-    write_manifest(out, "simulate", vars(args), started,
-                   [out / n for n in ("p.csv", "newborns.csv", "population.csv")],
-                   seed=vsc.tolerances.seed)
+    fields = {"p.csv": state.p, "newborns.csv": state.newborn_density,
+              "population.csv": Field(vsc.grid, ("time",), total_population(state.p))}
+    artifacts = {out / name: write_field_csv(f, out / name) for name, f in fields.items()}
+    write_manifest(out, "simulate", vars(args), started, artifacts,
+                   seed=vsc.tolerances.seed, vsc=vsc)
     print(f"simulate: wrote p.csv, newborns.csv, population.csv to {out}")
     return EXIT_OK
 
@@ -127,10 +134,10 @@ def _cmd_adjoint(args) -> int:
     adj = solve_adjoint(vsc, state)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_field_csv(adj.phi, out / "phi.csv")
-    write_field_csv(adj.phi_at_zero, out / "phi0.csv")
-    write_manifest(out, "adjoint", vars(args), started,
-                   [out / "phi.csv", out / "phi0.csv"], seed=vsc.tolerances.seed)
+    artifacts = {out / name: write_field_csv(f, out / name)
+                 for name, f in (("phi.csv", adj.phi), ("phi0.csv", adj.phi_at_zero))}
+    write_manifest(out, "adjoint", vars(args), started, artifacts,
+                   seed=vsc.tolerances.seed, vsc=vsc)
     print(f"adjoint: wrote phi.csv, phi0.csv to {out}")
     return EXIT_OK
 
@@ -149,10 +156,13 @@ def _cmd_optimize(args) -> int:
     report = optimize(vsc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_field_csv(report.beta_opt, out / "beta_opt.csv")
-    (out / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-    write_manifest(out, "optimize", vars(args), started,
-                   [out / "beta_opt.csv", out / "report.json"], seed=vsc.tolerances.seed)
+    artifacts = {
+        out / "beta_opt.csv": write_field_csv(report.beta_opt, out / "beta_opt.csv"),
+        out / "report.json": _write_text(out / "report.json",
+                                         json.dumps(report.to_dict(), indent=2) + "\n"),
+    }
+    write_manifest(out, "optimize", vars(args), started, artifacts,
+                   seed=vsc.tolerances.seed, vsc=vsc)
     print(f"optimize: {report.status} after {report.iterations} iterations, "
           f"J = {report.J_history[-1]:.9g}; wrote beta_opt.csv, report.json to {out}")
     return EXIT_OK if report.status != "diverged" else EXIT_NUMERICAL
@@ -178,9 +188,10 @@ def _cmd_gradcheck(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "gradcheck.json").write_text(json.dumps(rows, indent=2) + "\n")
-        write_manifest(out, "gradcheck", vars(args), started, [out / "gradcheck.json"],
-                       seed=vsc.tolerances.seed)
+        path = out / "gradcheck.json"
+        write_manifest(out, "gradcheck", vars(args), started,
+                       {path: _write_text(path, json.dumps(rows, indent=2) + "\n")},
+                       seed=vsc.tolerances.seed, vsc=vsc)
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
@@ -193,8 +204,8 @@ def _cmd_oracle(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "oracle_report.json").write_text(text + "\n")
-        write_manifest(out, "oracle", vars(args), started, [out / "oracle_report.json"],
+        path = out / "oracle_report.json"
+        write_manifest(out, "oracle", vars(args), started, {path: _write_text(path, text + "\n")},
                        seed=args.seed or 0)
     return EXIT_OK if report["all_passed"] else EXIT_CHECK_FAILED
 

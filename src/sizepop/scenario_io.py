@@ -12,13 +12,23 @@ digits, which round-trips float64 bit-exactly.  The writer streams the file
 one slice of the leading axis at a time; the reader checks the header and
 column counts on the raw bytes, parses the used columns in one
 ``np.loadtxt`` pass and compares each coordinate column with the grid.
+
+A field of at least ``2 * PARALLEL_MIN_VALUES`` values is formatted by up to
+one forked process per CPU in the affinity mask, so ``taskset`` limits them.
+The calling process writes the slices in order, so the bytes do not depend
+on the worker count.  It hashes them as it writes: ``write_field_csv``
+returns the file's SHA-256, and the run manifest records that digest
+without reading the file back.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
+import os
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -191,12 +201,107 @@ _AXIS_COLUMN = {"size": 0, "time": 1, "space": 2}
 _HEADER = "s,t,x,value"
 
 
-def write_field_csv(field: Field, path) -> None:
-    """Serialize a field; see the module docstring for the format.
+# Fewest values per formatting worker.  As the first write of a fresh
+# process on a 2-vCPU host, two workers saved 2 ms at 32,800 values and
+# 30% from 65,600 on.
+PARALLEL_MIN_VALUES = 1 << 15
+# Capacity asked for each worker's pipe.  At 160x160x64 a slice is 770 KB,
+# a dozen round trips through the default 64 KB pipe; with 1 MB pipes the
+# field was written faster in 10 of 10 alternating rounds.
+_PIPE_BYTES = 1 << 20
 
-    Each axis's coordinates are formatted once.  The file is written one
-    slice of the leading axis at a time, each slice through one ``%``
-    template, so only one slice's text is ever held in memory.
+
+def _worker_cpus(n_slices: int, n_values: int) -> list[int]:
+    """The CPUs of the affinity mask to start formatting workers on, one
+    each, at most one per slice and per PARALLEL_MIN_VALUES values; empty
+    when the caller formats every slice itself."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return []
+    cpus = sorted(os.sched_getaffinity(0))
+    n = min(len(cpus), n_slices, n_values // PARALLEL_MIN_VALUES)
+    return cpus[:n] if n > 1 else []
+
+
+def _format_slice(i: int, lead: int, coords: list[str], tails: list[str],
+                  values: np.ndarray) -> bytes:
+    """The rows of slice i of the leading axis, through one ``%`` template."""
+    prefix = "," * lead + coords[i]
+    return ((prefix + prefix.join(tails)) % tuple(values[i].tolist())).encode()
+
+
+def _format_in_worker(cpu: int, out_fd: int, inherited: list[int], slices: range,
+                      *layout) -> NoReturn:
+    """Body of a forked worker: send each slice as its 8-byte length and bytes.
+
+    It moves to `cpu` and then releases itself to the whole mask again: a
+    fork starts on the caller's CPU, and on a 2-vCPU host the kernel was
+    seen to keep both workers there for a whole 259,200-value write.  It
+    closes every inherited pipe end but its own and ends with ``os._exit``,
+    so it flushes no inherited stdio buffer and prints no traceback.
+    """
+    status = 1
+    try:
+        mask = os.sched_getaffinity(0)
+        try:
+            os.sched_setaffinity(0, {cpu})
+            os.sched_setaffinity(0, mask)
+        except OSError:  # the CPU left the mask: stay where the fork started
+            pass
+        for fd in inherited:
+            os.close(fd)
+        with open(out_fd, "wb") as out:
+            for i in slices:
+                chunk = _format_slice(i, *layout)
+                out.write(len(chunk).to_bytes(8, "little"))
+                out.write(chunk)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork_worker(cpu: int, slices: range, pipes: list, layout: tuple) -> int:
+    """Fork a worker for `slices` on a new pipe, whose read end is appended
+    to `pipes`; returns the worker's pid."""
+    import fcntl
+
+    r, wfd = os.pipe()
+    pipes.append(open(r, "rb"))
+    try:
+        try:
+            fcntl.fcntl(wfd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        except OSError:  # over the user's pipe quota: keep the default size
+            pass
+        pid = os.fork()
+        if pid == 0:
+            _format_in_worker(cpu, wfd, [p.fileno() for p in pipes], slices, *layout)
+    finally:
+        os.close(wfd)
+    return pid
+
+
+def _read_slice(src, path, i: int) -> bytes:
+    """Slice i from its worker's pipe; a short read means the worker died."""
+    head = src.read(8)
+    if len(head) == 8:
+        size = int.from_bytes(head, "little")
+        chunk = src.read(size)
+        if len(chunk) == size:
+            return chunk
+    raise RuntimeError(f"{path}: a formatting worker stopped before slice {i}")
+
+
+def write_field_csv(field: Field, path) -> str:
+    """Serialize a field and return the SHA-256 hex digest of its bytes.
+
+    See the module docstring for the format.  Each axis's coordinates are
+    formatted once, and each slice of the leading axis through one ``%``
+    template.  A field of at least 2 * PARALLEL_MIN_VALUES values forks up
+    to one worker per CPU (see _worker_cpus); worker w of n formats slices
+    w, w+n, ... and the caller writes and hashes them in order, so the bytes
+    do not depend on n.  A worker that stops early raises ``RuntimeError``,
+    and no worker outlives the call.  The workers only format strings and
+    write to their pipes, so they take no lock that another thread of the
+    caller, such as a BLAS pool, may have held at the fork.
     """
     columns = [[f"{c:.17g}" for c in field.grid.axis_coords(a)] if a in field.axes else [""]
                for a in _AXES]
@@ -204,12 +309,29 @@ def write_field_csv(field: Field, path) -> None:
     # the rows of one slice, each after its leading coordinate: ",<cols>,%.17g\n"
     tails = ["".join("," + c for c in combo) + ",%.17g\n"
              for combo in itertools.product(*columns[lead + 1:])]
-    values = field.values.reshape(len(columns[lead]), len(tails))
-    with open(path, "w") as fh:
-        fh.write(_HEADER + "\n")
-        for coord, row in zip(columns[lead], values):
-            prefix = "," * lead + coord
-            fh.write((prefix + prefix.join(tails)) % tuple(row.tolist()))
+    n_slices = len(columns[lead])
+    layout = (lead, columns[lead], tails, field.values.reshape(n_slices, len(tails)))
+    cpus = _worker_cpus(n_slices, field.values.size)
+    pipes, pids = [], []
+    try:
+        # fork before the file is opened, so that no worker holds it
+        for w, cpu in enumerate(cpus):
+            pids.append(_fork_worker(cpu, range(w, n_slices, len(cpus)), pipes, layout))
+        header = (_HEADER + "\n").encode()
+        digest = hashlib.sha256(header)
+        with open(path, "wb") as fh:
+            fh.write(header)
+            for i in range(n_slices):
+                chunk = (_read_slice(pipes[i % len(pipes)], path, i) if pipes
+                         else _format_slice(i, *layout))
+                fh.write(chunk)
+                digest.update(chunk)
+    finally:
+        for p in pipes:
+            p.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+    return digest.hexdigest()
 
 
 def _field_layout(path, data: bytes) -> tuple[tuple[str, ...], int, int]:

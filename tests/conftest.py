@@ -3,12 +3,14 @@ assembly of the one-step map for transpose checks."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sizepop import rates as rate_lib
+from sizepop import scenario_io
 from sizepop.model import (
     ControlBounds,
     CostParams,
@@ -66,6 +68,28 @@ def full_field(grid: Grid3, axes: tuple[str, ...], value: float) -> Field:
     """A field of one constant value over the given axes."""
     shape = tuple(grid.axis_len(a) for a in axes)
     return Field(grid, axes, np.full(shape, float(value)))
+
+
+def fork_csv_workers(monkeypatch, cpus: int) -> list:
+    """Make write_field_csv fork for any field, on `cpus` CPUs.
+
+    Returns a list that gets one entry per ``os.fork`` call.
+    """
+    forks, real_fork = [], os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(scenario_io, "PARALLEL_MIN_VALUES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def with_cost(vsc: ValidatedScenario, **kw) -> ValidatedScenario:

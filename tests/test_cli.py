@@ -26,7 +26,7 @@ from sizepop.scenario_io import (
     read_field_csv,
     write_field_csv,
 )
-from conftest import full_field
+from conftest import assert_no_child_left, fork_csv_workers, full_field
 
 MINIMAL = {
     "grid": {"Ns": 6, "Nt": 6, "Nx": 4, "s_f": 1.0, "T": 1.0, "L": 1.0},
@@ -341,6 +341,27 @@ class TestSubcommands:
         main([*argv, "--scenario", _write(tmp_path, MINIMAL), "--out", str(out)])
         assert json.loads((out / "manifest.json").read_text())["duration_s"] >= 0.05
 
+    @pytest.mark.parametrize("argv, names", [
+        (["simulate", "--beta", "0.4"], {"p.csv", "newborns.csv", "population.csv"}),
+        (["adjoint", "--beta", "0.4"], {"phi.csv", "phi0.csv"}),
+        (["optimize", "--max-iters", "2"], {"beta_opt.csv", "report.json"}),
+        (["gradcheck", "--directions", "1"], {"gradcheck.json"}),
+    ])
+    def test_manifest_describes_the_run(self, tmp_path, capsys, argv, names):
+        out = tmp_path / "run"
+        main([*argv, "--scenario", _write(tmp_path, MINIMAL), "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["grid"]) == {"Ns", "Nt", "Nx", "s_f", "T", "L"}
+        assert "growth_case" in manifest
+        _assert_manifest_checksums(out, names)
+
+    def test_oracle_manifest_names_no_scenario(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["oracle", "--only", "heat_mode_decay", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "grid" not in manifest and "growth_case" not in manifest
+        _assert_manifest_checksums(out, {"oracle_report.json"})
+
     @pytest.mark.parametrize("beta, message", [
         ("-5", r"control -5.0 at \(i=0, j=0, k=0\) is below bounds.phi_l = 0.0"),
         ("1.5", r"control 1.5 at \(i=0, j=0, k=0\) is above bounds.phi_m = 1.0"),
@@ -400,6 +421,51 @@ def test_failures_exit_with_one_line(tmp_path, capsys, monkeypatch, case, code, 
     assert len(err.splitlines()) == 1, err
     assert re.match(message, err), err
     assert "Traceback" not in err
+
+
+def test_failed_write_after_fork_is_usage_error(tmp_path, capsys, monkeypatch):
+    # the caller's own write fails after the workers started: still OSError
+    forks = fork_csv_workers(monkeypatch, 2)
+    out = tmp_path / "out"
+    (out / "p.csv").mkdir(parents=True)
+    assert main(["simulate", "--scenario", _write(tmp_path, MINIMAL), "--beta", "0.4",
+                 "--out", str(out)]) == 1
+    assert forks
+    assert_no_child_left()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert re.match("error: .*Is a directory", err), err
+
+
+# a worker writes to the real stderr, which only a separate process captures
+DEAD_WORKER = """
+import os, sys
+from sizepop import scenario_io
+from sizepop.cli import main
+
+scenario_io.PARALLEL_MIN_VALUES = 1
+os.sched_getaffinity = lambda pid: {0, 1}
+format_slice = scenario_io._format_slice
+
+def fail_on_slice_one(i, *layout):
+    if i == 1:
+        raise RuntimeError("slice 1")
+    return format_slice(i, *layout)
+
+scenario_io._format_slice = fail_on_slice_one
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_dead_worker_is_internal_error(tmp_path):
+    out = tmp_path / "o"
+    done = _run_python("-c", DEAD_WORKER, "simulate", "--scenario", _write(tmp_path, MINIMAL),
+                       "--beta", "0.4", "--out", str(out))
+    assert done.returncode == 4
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+    assert done.stderr.startswith("internal error: RuntimeError: "), done.stderr
+    assert "formatting worker stopped before slice 1" in done.stderr
+    assert not (out / "manifest.json").exists()
 
 
 def _run_python(*args, env=None) -> subprocess.CompletedProcess:

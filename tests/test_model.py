@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from sizepop import rates as rate_lib
+from sizepop import scenario_io
 from sizepop.adjoint import solve_adjoint
 from sizepop.forward import solve_state
 from sizepop.model import (
@@ -34,7 +37,7 @@ from sizepop.scenario_io import (
     scenario_from_dict,
     write_field_csv,
 )
-from conftest import full_field, tabulated_scenario
+from conftest import assert_no_child_left, fork_csv_workers, full_field, tabulated_scenario
 
 SMOOTH_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "smooth.json"
 STX = ("size", "time", "space")
@@ -164,20 +167,69 @@ SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 2.22507
                   np.finfo(float).max, 0.1, -1.0 / 3.0, 1e22]
 
 
-@pytest.mark.parametrize("axes", ALL_AXES)
-def test_field_csv_matches_reference_writer(tmp_path, axes, rng):
-    grid = Grid3(Ns=3, Nt=4, Nx=5, s_f=1.0, T=0.7, L=1.3)
+def _special_field(grid: Grid3, axes, rng) -> Field:
+    """Random values spanning about 600 decades, special values mixed in."""
     shape = tuple(grid.axis_len(a) for a in axes)
     size = int(np.prod(shape))
     values = rng.standard_normal(size) * np.exp(rng.uniform(-700, 700, size=size))
     n_special = min(len(SPECIAL_VALUES), values.size)
     values[rng.permutation(values.size)[:n_special]] = SPECIAL_VALUES[:n_special]
-    fld = Field(grid, axes, values.reshape(shape))
+    return Field(grid, axes, values.reshape(shape))
+
+
+@pytest.mark.parametrize("axes", ALL_AXES)
+def test_field_csv_matches_reference_writer(tmp_path, axes, rng):
+    grid = Grid3(Ns=3, Nt=4, Nx=5, s_f=1.0, T=0.7, L=1.3)
+    fld = _special_field(grid, axes, rng)
     path = tmp_path / "field.csv"
     write_field_csv(fld, path)
     assert path.read_text() == reference_field_csv(fld)
     back = read_field_csv(path, grid)
     assert np.array_equal(back.values.view(np.uint64), fld.values.view(np.uint64))
+
+
+# (3, 4, 5): 3 or 5 slices, which 2 workers do not divide and 3 divide
+# once; (2, 1, 7): a size- or time-led field has 2 slices, fewer than 3 CPUs
+@pytest.mark.parametrize("dims", [(3, 4, 5), (2, 1, 7)])
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("axes", ALL_AXES)
+def test_forked_field_csv_matches_reference_writer(tmp_path, monkeypatch, axes, cpus, dims):
+    grid = Grid3(Ns=dims[0], Nt=dims[1], Nx=dims[2], s_f=1.0, T=0.7, L=1.3)
+    fld = _special_field(grid, axes, np.random.default_rng(cpus))
+    forks = fork_csv_workers(monkeypatch, cpus)
+    path = tmp_path / "field.csv"
+    digest = write_field_csv(fld, path)
+    assert len(forks) == min(cpus, grid.axis_len(axes[0]))
+    assert_no_child_left()
+    assert path.read_text() == reference_field_csv(fld)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_small_field_forks_no_worker(tmp_path, monkeypatch):
+    grid = Grid3(Ns=16, Nt=15, Nx=16, s_f=1.0, T=0.7, L=1.3)
+    fld = _special_field(grid, STX, np.random.default_rng(1))
+    assert fld.values.size < 2 * scenario_io.PARALLEL_MIN_VALUES
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a small field"))
+    path = tmp_path / "field.csv"
+    digest = write_field_csv(fld, path)
+    assert path.read_text() == reference_field_csv(fld)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_dead_worker_fails_the_write(tmp_path, monkeypatch):
+    grid = Grid3(Ns=5, Nt=4, Nx=3, s_f=1.0, T=0.7, L=1.3)
+    fork_csv_workers(monkeypatch, 2)
+    format_slice = scenario_io._format_slice
+
+    def fail_on_slice_one(i, *layout):
+        if i == 1:
+            raise RuntimeError("slice 1")
+        return format_slice(i, *layout)
+
+    monkeypatch.setattr(scenario_io, "_format_slice", fail_on_slice_one)
+    with pytest.raises(RuntimeError, match="formatting worker stopped before slice 1"):
+        write_field_csv(full_field(grid, STX, 0.5), tmp_path / "field.csv")
+    assert_no_child_left()
 
 
 class TestFieldCsvRejections:
