@@ -1,15 +1,17 @@
 """Command-line front end.
 
 Subcommands: simulate, adjoint, optimize, gradcheck, oracle.  Each run that
-produces files also writes a manifest recording the resolved options, the
-wall-clock duration, the seed, the sizepop, Python and numpy versions (the
+produces files writes them through one path, which ends with a manifest
+recording the resolved options, the duration since `main` started (on the
+monotonic clock), the seed, the sizepop, Python and numpy versions (the
 last bits of a solve depend on the numpy and BLAS build), the grid and
 growth case of a run on one scenario, and a SHA-256 checksum of every
 artifact, computed from the bytes as they are written.
 Exit codes: 0 success, 1 usage or configuration error (including a file
-that cannot be read or written, and a control outside the box
-[phi_l, phi_m]), 2 oracle or check failure, 3 numerical failure, 4 internal
-error.  A failure prints its message to stderr, never a traceback.
+that cannot be read or written, and a finite control outside the box
+[phi_l, phi_m]), 2 oracle or check failure, 3 numerical failure (including
+a non-finite control), 4 internal error.  A failure prints its message to
+stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -56,21 +58,21 @@ def _write_text(path: Path, text: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def write_manifest(out_dir: Path, subcommand: str, options: dict, started: float,
-                   artifacts: dict[Path, str], seed: int | None = None,
-                   vsc: ValidatedScenario | None = None) -> Path:
-    """Write manifest.json; `artifacts` maps each file written to its SHA-256,
-    and `vsc`, the run's one scenario if it has one, adds its grid and growth
-    case."""
-    options = {k: v for k, v in options.items()
-               if k not in ("fn", "command") and isinstance(v, (str, int, float, bool))}
+def write_manifest(args: argparse.Namespace, artifacts: dict[Path, str],
+                   vsc: ValidatedScenario | None = None, seed: int | None = None) -> None:
+    """Write manifest.json into `args.out`; `artifacts` maps each file
+    written to its SHA-256, and `vsc`, the run's one scenario if it has one,
+    adds its grid and growth case and gives the seed."""
+    out = Path(args.out)
+    options = {k: v for k, v in vars(args).items()
+               if k not in ("fn", "command", "started") and isinstance(v, (str, int, float, bool))}
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.command,
         "scenario": options.get("scenario"),
         "options": options,
-        "out_dir": str(out_dir),
-        "seed": seed,
-        "duration_s": time.time() - started,
+        "out_dir": str(out),
+        "seed": seed if vsc is None else vsc.tolerances.seed,
+        "duration_s": time.monotonic() - args.started,
         "versions": {"sizepop": __version__, "python": platform.python_version(),
                      "numpy": np.__version__},
         "artifacts": {p.name: digest for p, digest in artifacts.items()},
@@ -78,9 +80,20 @@ def write_manifest(out_dir: Path, subcommand: str, options: dict, started: float
     if vsc is not None:
         manifest["grid"] = dataclasses.asdict(vsc.grid)
         manifest["growth_case"] = vsc.growth_case.tag
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _write_outputs(args: argparse.Namespace, outputs: dict[str, Field | str],
+                   vsc: ValidatedScenario | None = None, seed: int | None = None) -> Path:
+    """Write each output into `args.out`, a field as CSV and a string as
+    text, and then the manifest with the digest of each; returns the
+    output directory."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    artifacts = {out / name: _write_text(out / name, value) if isinstance(value, str)
+                 else write_field_csv(value, out / name) for name, value in outputs.items()}
+    write_manifest(args, artifacts, vsc, seed)
+    return out
 
 
 def _load_validated(path: str) -> ValidatedScenario:
@@ -90,14 +103,19 @@ def _load_validated(path: str) -> ValidatedScenario:
 def _resolve_beta(spec: str, vsc: ValidatedScenario):
     """A control given on the command line: a constant or a field CSV path.
 
-    A finite value outside the box [phi_l, phi_m] is a usage error; a NaN
-    passes, so that the solver reports it as a numerical failure.
+    A non-finite value is a numerical failure, and a finite value outside
+    the box [phi_l, phi_m] a usage error; either names its first cell.
     """
     try:
         beta = float(spec)
     except ValueError:
         beta = read_field_csv(spec, vsc.grid)
     values = control_array(vsc.grid, beta)
+    non_finite = ~np.isfinite(values)
+    if non_finite.any():
+        i, j, k = (int(v) for v in np.argwhere(non_finite)[0])
+        raise NumericalError(f"--beta: control {float(values[i, j, k])!r} at "
+                             f"(i={i}, j={j}, k={k}) is not finite")
     outside = (values < vsc.phi_l_grid) | (values > vsc.phi_m_grid)
     if outside.any():
         i, j, k = (int(v) for v in np.argwhere(outside)[0])
@@ -112,64 +130,38 @@ def _resolve_beta(spec: str, vsc: ValidatedScenario):
 
 
 def _cmd_simulate(args) -> int:
-    started = time.time()
     vsc = _load_validated(args.scenario)
-    beta = _resolve_beta(args.beta, vsc)
-    state = solve_state(vsc, beta)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    fields = {"p.csv": state.p, "newborns.csv": state.newborn_density,
-              "population.csv": Field(vsc.grid, ("time",), total_population(state.p))}
-    artifacts = {out / name: write_field_csv(f, out / name) for name, f in fields.items()}
-    write_manifest(out, "simulate", vars(args), started, artifacts,
-                   seed=vsc.tolerances.seed, vsc=vsc)
+    state = solve_state(vsc, _resolve_beta(args.beta, vsc))
+    out = _write_outputs(args, {
+        "p.csv": state.p, "newborns.csv": state.newborn_density,
+        "population.csv": Field(vsc.grid, ("time",), total_population(state.p))}, vsc)
     print(f"simulate: wrote p.csv, newborns.csv, population.csv to {out}")
     return EXIT_OK
 
 
 def _cmd_adjoint(args) -> int:
-    started = time.time()
     vsc = _load_validated(args.scenario)
-    state = solve_state(vsc, _resolve_beta(args.beta, vsc))
-    adj = solve_adjoint(vsc, state)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts = {out / name: write_field_csv(f, out / name)
-                 for name, f in (("phi.csv", adj.phi), ("phi0.csv", adj.phi_at_zero))}
-    write_manifest(out, "adjoint", vars(args), started, artifacts,
-                   seed=vsc.tolerances.seed, vsc=vsc)
+    adj = solve_adjoint(vsc, solve_state(vsc, _resolve_beta(args.beta, vsc)))
+    out = _write_outputs(args, {"phi.csv": adj.phi, "phi0.csv": adj.phi_at_zero}, vsc)
     print(f"adjoint: wrote phi.csv, phi0.csv to {out}")
     return EXIT_OK
 
 
 def _cmd_optimize(args) -> int:
-    started = time.time()
     vsc = _load_validated(args.scenario)
-    overrides = {k: v for k, v in {
-        "max_iters": args.max_iters,
-        "fixed_point_tol": args.tol,
-        "relax_omega": args.relax,
-        "seed": args.seed,
-    }.items() if v is not None}
-    if overrides:
-        vsc = vsc.with_tolerances(**overrides)
+    overrides = {"max_iters": args.max_iters, "fixed_point_tol": args.tol,
+                 "relax_omega": args.relax, "seed": args.seed}
+    vsc = vsc.with_tolerances(**{k: v for k, v in overrides.items() if v is not None})
     report = optimize(vsc)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts = {
-        out / "beta_opt.csv": write_field_csv(report.beta_opt, out / "beta_opt.csv"),
-        out / "report.json": _write_text(out / "report.json",
-                                         json.dumps(report.to_dict(), indent=2) + "\n"),
-    }
-    write_manifest(out, "optimize", vars(args), started, artifacts,
-                   seed=vsc.tolerances.seed, vsc=vsc)
+    out = _write_outputs(args, {"beta_opt.csv": report.beta_opt,
+                                "report.json": json.dumps(report.to_dict(), indent=2) + "\n"},
+                         vsc)
     print(f"optimize: {report.status} after {report.iterations} iterations, "
           f"J = {report.J_history[-1]:.9g}; wrote beta_opt.csv, report.json to {out}")
     return EXIT_OK if report.status != "diverged" else EXIT_NUMERICAL
 
 
 def _cmd_gradcheck(args) -> int:
-    started = time.time()
     if args.scenario:
         vsc = _load_validated(args.scenario)
     else:
@@ -186,27 +178,17 @@ def _cmd_gradcheck(args) -> int:
     print(f"gradcheck: {'all pass' if all_ok else 'FAILURES'} "
           f"({len(rows)} directions, tolerance 1e-6)")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "gradcheck.json"
-        write_manifest(out, "gradcheck", vars(args), started,
-                       {path: _write_text(path, json.dumps(rows, indent=2) + "\n")},
-                       seed=vsc.tolerances.seed, vsc=vsc)
+        _write_outputs(args, {"gradcheck.json": json.dumps(rows, indent=2) + "\n"}, vsc)
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
 def _cmd_oracle(args) -> int:
-    started = time.time()
     names = args.only.split(",") if args.only else None
     report = run_oracles(names=names, seed=args.seed or 0)
     text = json.dumps(report, indent=2)
     print(text)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "oracle_report.json"
-        write_manifest(out, "oracle", vars(args), started, {path: _write_text(path, text + "\n")},
-                       seed=args.seed or 0)
+        _write_outputs(args, {"oracle_report.json": text + "\n"}, seed=args.seed or 0)
     return EXIT_OK if report["all_passed"] else EXIT_CHECK_FAILED
 
 
@@ -265,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv, argparse.Namespace(started=time.monotonic()))
     try:
         # a non-finite value fails the solvers' finite checks (exit 3), so
         # numpy's own warnings about it would only add lines to stderr

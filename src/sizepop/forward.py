@@ -481,8 +481,9 @@ def march_states(vsc: ValidatedScenario, betas):
     and the newborn boundary value, shape (..., Nx); for cases without a
     renewal boundary that is the constant extrapolation of the first size
     cell.  Level j is handed over once level j+1 is computed and found
-    finite; the first non-finite value aborts the march.  The slices are
-    not written to afterwards, so a consumer may keep them.
+    finite, and level Nt once its newborn value, which feeds no later
+    level, is found finite; the first non-finite value aborts the march.
+    The slices are not written to afterwards, so a consumer may keep them.
     """
     ctx = vsc.step_context
     nt = vsc.grid.Nt
@@ -493,7 +494,9 @@ def march_states(vsc: ValidatedScenario, betas):
         _check_level(p_next, "density", j + 1)
         yield j, p_j, (b if ctx.has_renewal else p_j[..., 0, :])
         p_j, beta_j = p_next, level_slice(betas, j + 1)
-    yield nt, p_j, (ctx.newborn_value(nt, beta_j, p_j) if ctx.has_renewal else p_j[..., 0, :])
+    b = ctx.newborn_value(nt, beta_j, p_j) if ctx.has_renewal else p_j[..., 0, :]
+    _check_level(b, "newborn density", nt, axes=("k",))
+    yield nt, p_j, b
 
 
 def solve_state(vsc: ValidatedScenario, beta) -> StateSolution:

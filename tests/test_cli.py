@@ -197,16 +197,29 @@ class TestSubcommands:
         assert main(["gradcheck", "--directions", "2", "--seed", "1"]) == 0
         assert "all pass" in capsys.readouterr().out
 
-    def test_non_finite_control_is_numerical_failure(self, tmp_path):
-        scenario = _write(tmp_path, MINIMAL)
-        grid = Grid3(**MINIMAL["grid"])
-        from sizepop.model import Field
-        vals = np.full((grid.Ns, grid.Nt + 1, grid.Nx), 0.2)
-        vals[1, 2, 1] = np.nan
-        beta_path = tmp_path / "bad_beta.csv"
-        write_field_csv(Field(grid, ("size", "time", "space"), vals), beta_path)
-        assert main(["simulate", "--scenario", scenario, "--beta", str(beta_path),
+    @pytest.mark.parametrize("command", ["simulate", "adjoint"])
+    @pytest.mark.parametrize("gamma, beta, cell", [
+        (1.0, (1, 2, 1), "(i=1, j=2, k=1)"),
+        # growth case c: no renewal boundary, so the control enters no solve
+        ({"preset": "linear-in-s", "a": 0, "b": 1.0}, "nan", "(i=0, j=0, k=0)"),
+        # case a, NaN only at the last level, which feeds no later level
+        (1.0, (0, 6, 1), "(i=0, j=6, k=1)"),
+    ], ids=["interior", "case-c", "last-level"])
+    def test_non_finite_control_is_numerical_failure(self, tmp_path, capsys, command, gamma,
+                                                     beta, cell):
+        if isinstance(beta, tuple):
+            grid = Grid3(**MINIMAL["grid"])
+            from sizepop.model import Field
+            vals = np.full((grid.Ns, grid.Nt + 1, grid.Nx), 0.2)
+            vals[beta] = np.nan
+            beta = str(tmp_path / "bad_beta.csv")
+            write_field_csv(Field(grid, ("size", "time", "space"), vals), beta)
+        scenario = _write(tmp_path, _with("rates.gamma", gamma))
+        assert main([command, "--scenario", scenario, "--beta", beta,
                      "--out", str(tmp_path / "nf")]) == 3
+        err = capsys.readouterr().err
+        assert err == f"numerical failure: --beta: control nan at {cell} is not finite\n"
+        assert not (tmp_path / "nf").exists()
 
     @pytest.mark.parametrize("key, value, flags", [
         ("max_iters", 0, ["--max-iters", "0"]),
@@ -346,21 +359,38 @@ class TestSubcommands:
         (["adjoint", "--beta", "0.4"], {"phi.csv", "phi0.csv"}),
         (["optimize", "--max-iters", "2"], {"beta_opt.csv", "report.json"}),
         (["gradcheck", "--directions", "1"], {"gradcheck.json"}),
+        (["oracle", "--only", "heat_mode_decay"], {"oracle_report.json"}),
     ])
     def test_manifest_describes_the_run(self, tmp_path, capsys, argv, names):
         out = tmp_path / "run"
-        main([*argv, "--scenario", _write(tmp_path, MINIMAL), "--out", str(out)])
+        scenario = [] if argv[0] == "oracle" else ["--scenario", _write(tmp_path, MINIMAL)]
+        argv = [*argv, *scenario, "--out", str(out)]
+        assert main(argv) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert set(manifest["grid"]) == {"Ns", "Nt", "Nx", "s_f", "T", "L"}
-        assert "growth_case" in manifest
+        assert manifest["subcommand"] == argv[0]
+        # the options given and nothing else: no handler, subcommand or start stamp
+        assert set(manifest["options"]) == {a[2:].replace("-", "_") for a in argv
+                                            if a.startswith("--")}
+        if argv[0] == "oracle":
+            # the oracles run no single scenario
+            assert "grid" not in manifest and "growth_case" not in manifest
+        else:
+            assert set(manifest["grid"]) == {"Ns", "Nt", "Nx", "s_f", "T", "L"}
+            assert "growth_case" in manifest
         _assert_manifest_checksums(out, names)
 
-    def test_oracle_manifest_names_no_scenario(self, tmp_path, capsys):
+    def test_manifest_duration_ignores_wall_clock_steps(self, tmp_path, monkeypatch):
+        wall = [1e9]
+
+        def stepping_back():
+            wall[0] -= 3600.0
+            return wall[0]
+
+        monkeypatch.setattr(cli.time, "time", stepping_back)
         out = tmp_path / "run"
-        assert main(["oracle", "--only", "heat_mode_decay", "--out", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert "grid" not in manifest and "growth_case" not in manifest
-        _assert_manifest_checksums(out, {"oracle_report.json"})
+        assert main(["simulate", "--scenario", _write(tmp_path, MINIMAL), "--beta", "0.4",
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["duration_s"] >= 0
 
     @pytest.mark.parametrize("beta, message", [
         ("-5", r"control -5.0 at \(i=0, j=0, k=0\) is below bounds.phi_l = 0.0"),

@@ -206,6 +206,15 @@ class TestSolveState:
         with pytest.raises(NumericalError, match=r"j=2"):
             sp.solve_state(vsc, beta)
 
+    def test_nan_in_the_last_newborn_value_is_caught(self):
+        # the last level's newborn value feeds no later level's density
+        vsc = unit_scenario(Grid3(Ns=4, Nt=4, Nx=3, s_f=1.0, T=1.0, L=1.0))
+        beta = np.zeros((4, 5, 3))
+        beta[:, 4, 1] = np.nan
+        with pytest.raises(NumericalError,
+                           match=r"^non-finite newborn density at \(j=4, k=1\)$"):
+            sp.solve_state(vsc, beta)
+
 
 class TestTotalPopulation:
     GRID = Grid3(Ns=8, Nt=4, Nx=5, s_f=1.0, T=1.0, L=1.0)
