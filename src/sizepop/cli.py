@@ -7,6 +7,12 @@ monotonic clock), the seed, the sizepop, Python and numpy versions (the
 last bits of a solve depend on the numpy and BLAS build), the grid and
 growth case of a run on one scenario, and a SHA-256 checksum of every
 artifact, computed from the bytes as they are written.
+Field CSVs are written by the command's own process, which forks the
+formatting workers for a large field (see scenario_io), except for
+optimize's beta_opt.csv: once the sweep has returned, one forked child
+writes it, forking the workers itself, while this process computes the
+contraction diagnostics; report.json and the manifest follow once the
+child has sent the CSV's digest.
 Exit codes: 0 success, 1 usage or configuration error (including a file
 that cannot be read or written, and a finite control outside the box
 [phi_l, phi_m]), 2 oracle or check failure, 3 numerical failure (including
@@ -40,9 +46,15 @@ from .model import (
     validate_scenario,
 )
 from .oracles import ORACLE_NAMES, gradient_check, run_oracles
-from .optimizer import optimize
+from .optimizer import diagnose_contraction, optimize
 from .rates import RateSpecError
-from .scenario_io import ScenarioFileError, parse_scenario, read_field_csv, write_field_csv
+from .scenario_io import (
+    FieldCsvWrite,
+    ScenarioFileError,
+    parse_scenario,
+    read_field_csv,
+    write_field_csv,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -83,15 +95,28 @@ def write_manifest(args: argparse.Namespace, artifacts: dict[Path, str],
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _write_outputs(args: argparse.Namespace, outputs: dict[str, Field | str],
-                   vsc: ValidatedScenario | None = None, seed: int | None = None) -> Path:
-    """Write each output into `args.out`, a field as CSV and a string as
-    text, and then the manifest with the digest of each; returns the
-    output directory."""
+def _output_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    artifacts = {out / name: _write_text(out / name, value) if isinstance(value, str)
-                 else write_field_csv(value, out / name) for name, value in outputs.items()}
+    return out
+
+
+def _write_artifact(path: Path, value: Field | FieldCsvWrite | str) -> str:
+    """Write one output, a field as CSV and a string as text, or wait for
+    a field CSV already being written there; returns its SHA-256."""
+    if isinstance(value, str):
+        return _write_text(path, value)
+    if isinstance(value, FieldCsvWrite):
+        return value.digest()
+    return write_field_csv(value, path)
+
+
+def _write_outputs(args: argparse.Namespace, outputs: dict[str, Field | FieldCsvWrite | str],
+                   vsc: ValidatedScenario | None = None, seed: int | None = None) -> Path:
+    """Write each output into `args.out`, in order, and then the manifest
+    with the digest of each; returns the output directory."""
+    out = _output_dir(args)
+    artifacts = {out / name: _write_artifact(out / name, value) for name, value in outputs.items()}
     write_manifest(args, artifacts, vsc, seed)
     return out
 
@@ -152,10 +177,14 @@ def _cmd_optimize(args) -> int:
     overrides = {"max_iters": args.max_iters, "fixed_point_tol": args.tol,
                  "relax_omega": args.relax, "seed": args.seed}
     vsc = vsc.with_tolerances(**{k: v for k, v in overrides.items() if v is not None})
-    report = optimize(vsc)
-    out = _write_outputs(args, {"beta_opt.csv": report.beta_opt,
-                                "report.json": json.dumps(report.to_dict(), indent=2) + "\n"},
-                         vsc)
+    report = optimize(vsc, compute_diagnostics=False)
+    # written meanwhile, the CSV keeps busy the CPU the diagnostics leave idle
+    with FieldCsvWrite(report.beta_opt, _output_dir(args) / "beta_opt.csv") as beta_csv:
+        report = dataclasses.replace(report,
+                                     contraction=diagnose_contraction(vsc, report.beta_opt))
+        out = _write_outputs(args, {"beta_opt.csv": beta_csv,
+                                    "report.json": json.dumps(report.to_dict(), indent=2) + "\n"},
+                             vsc)
     print(f"optimize: {report.status} after {report.iterations} iterations, "
           f"J = {report.J_history[-1]:.9g}; wrote beta_opt.csv, report.json to {out}")
     return EXIT_OK if report.status != "diverged" else EXIT_NUMERICAL

@@ -101,6 +101,7 @@ def evaluate_costs(vsc: ValidatedScenario, betas) -> np.ndarray:
     J = np.zeros(len(betas))
     for j, p_j, _b_j in march_states(vsc, betas):
         J += _level_cost(w[j], p_j, level_slice(betas, j), vsc.cost)
+        del p_j
     return J
 
 
@@ -177,8 +178,7 @@ def optimize(vsc: ValidatedScenario, beta0=None,
     then marches the state and updates the control level by level.  Ten
     consecutive residual increases are reported as divergence.  The report
     carries the cost history, the update residuals and, unless disabled,
-    contraction diagnostics sampled at the box corners, the optimum and
-    N_RANDOM_SAMPLES seeded random controls.
+    the contraction diagnostics of diagnose_contraction at the optimum.
     """
     grid = vsc.grid
     tol = vsc.tolerances.fixed_point_tol
@@ -198,8 +198,9 @@ def optimize(vsc: ValidatedScenario, beta0=None,
     phi0 = np.empty((grid.Nt + 1, grid.Nx))
     level_resid = np.empty(grid.Nt + 1)
     for _ in range(max_iters):
-        for j, _phi_j, phi0_j in march_adjoint(vsc, beta):
+        for j, phi_j, phi0_j in march_adjoint(vsc, beta):
             phi0[j] = phi0_j
+            del phi_j
         beta_next = np.empty_like(beta)
         J = 0.0
         for j, p_j, _b_j in march_states(vsc, beta):
@@ -211,6 +212,7 @@ def optimize(vsc: ValidatedScenario, beta0=None,
             np.clip(level, vsc.phi_l_grid[at], vsc.phi_m_grid[at], out=level)
             level_resid[j] = np.max(np.abs(level - beta[at]))
             beta_next[at] = level
+            del p_j
         J_history.append(J)
         resid = float(level_resid.max())
         residuals.append(resid)
@@ -226,32 +228,39 @@ def optimize(vsc: ValidatedScenario, beta0=None,
         else:
             grow_streak = 0
 
-    diagnostics = None
-    if compute_diagnostics:
-        rng = np.random.default_rng(vsc.tolerances.seed)
-        shape = (grid.Ns, grid.Nt + 1, grid.Nx)
-        lo, hi = _distinct_values(vsc.phi_l_grid), _distinct_values(vsc.phi_m_grid)
-        samples = [vsc.phi_l_grid, vsc.phi_m_grid, beta]
-        for _ in range(N_RANDOM_SAMPLES):
-            # lo + u*(hi - lo), built in the draw itself: no draw outlives
-            # its sample, and the bounds' broadcast views make no full grid
-            u = rng.random(shape)
-            u *= hi - lo
-            u += lo
-            samples.append(u)
-        try:
-            diagnostics = contraction_diagnostics(vsc, samples)
-        except ValueError:
-            diagnostics = None  # degenerate box: every sample identical
-
+    beta_opt = Field(grid, ("size", "time", "space"), beta)
     return OptimizationReport(
-        beta_opt=Field(grid, ("size", "time", "space"), beta),
+        beta_opt=beta_opt,
         J_history=np.asarray(J_history),
         update_residuals=np.asarray(residuals),
-        contraction=diagnostics,
+        contraction=diagnose_contraction(vsc, beta_opt) if compute_diagnostics else None,
         status=status,
         iterations=len(residuals),
     )
+
+
+def diagnose_contraction(vsc: ValidatedScenario, beta_opt) -> ContractionDiagnostics | None:
+    """The contraction diagnostics optimize reports: contraction_diagnostics
+    sampled at the box corners, the optimum `beta_opt` and N_RANDOM_SAMPLES
+    controls drawn from the scenario's seed; None for a degenerate box,
+    where every sample is the same control.
+    """
+    grid = vsc.grid
+    rng = np.random.default_rng(vsc.tolerances.seed)
+    shape = (grid.Ns, grid.Nt + 1, grid.Nx)
+    lo, hi = _distinct_values(vsc.phi_l_grid), _distinct_values(vsc.phi_m_grid)
+    samples = [vsc.phi_l_grid, vsc.phi_m_grid, beta_opt]
+    for _ in range(N_RANDOM_SAMPLES):
+        # lo + u*(hi - lo), built in the draw itself: no draw outlives
+        # its sample, and the bounds' broadcast views make no full grid
+        u = rng.random(shape)
+        u *= hi - lo
+        u += lo
+        samples.append(u)
+    try:
+        return contraction_diagnostics(vsc, samples)
+    except ValueError:
+        return None  # degenerate box: every sample identical
 
 
 def contraction_diagnostics(vsc: ValidatedScenario, beta_samples) -> ContractionDiagnostics:
@@ -277,11 +286,13 @@ def contraction_diagnostics(vsc: ValidatedScenario, beta_samples) -> Contraction
         d_beta = np.maximum(d_beta, np.abs(beta_j[first] - beta_j[second]).max(axis=(-2, -1)))
         d_p = np.maximum(d_p, np.abs(p_j[first] - p_j[second]).max(axis=(-2, -1)))
         m3 = max(m3, float(np.max(np.abs(p_j))))
+        del p_j, beta_j
     traces = np.empty((len(arrs), grid.Nt + 1, grid.Nx))
     m4 = 0.0
     for j, phi_j, phi0_j in march_adjoint(vsc, arrs):
         traces[:, j] = phi0_j
         m4 = max(m4, float(np.max(np.abs(phi_j))))
+        del phi_j
     d_trace = np.abs(traces[first] - traces[second]).max(axis=(-2, -1))
     distinct = d_beta != 0.0
     if not distinct.any():

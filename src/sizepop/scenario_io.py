@@ -18,7 +18,10 @@ one forked process per CPU in the affinity mask, so ``taskset`` limits them.
 The calling process writes the slices in order, so the bytes do not depend
 on the worker count.  It hashes them as it writes: ``write_field_csv``
 returns the file's SHA-256, and the run manifest records that digest
-without reading the file back.
+without reading the file back.  ``FieldCsvWrite`` runs the same
+``write_field_csv`` in one forked child, which forks the formatting workers
+itself and sends the digest back, so the calling process can compute while
+the file is written.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ import hashlib
 import itertools
 import json
 import os
+import pickle
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -229,39 +232,34 @@ def _format_slice(i: int, lead: int, coords: list[str], tails: list[str],
     return ((prefix + prefix.join(tails)) % tuple(values[i].tolist())).encode()
 
 
-def _format_in_worker(cpu: int, out_fd: int, inherited: list[int], slices: range,
-                      *layout) -> NoReturn:
-    """Body of a forked worker: send each slice as its 8-byte length and bytes.
+def _send_slices(out, cpu: int, slices: range, *layout) -> None:
+    """Body of a formatting worker: send each slice as its 8-byte length
+    and bytes.
 
     It moves to `cpu` and then releases itself to the whole mask again: a
     fork starts on the caller's CPU, and on a 2-vCPU host the kernel was
-    seen to keep both workers there for a whole 259,200-value write.  It
-    closes every inherited pipe end but its own and ends with ``os._exit``,
-    so it flushes no inherited stdio buffer and prints no traceback.
+    seen to keep both workers there for a whole 259,200-value write.
     """
-    status = 1
+    mask = os.sched_getaffinity(0)
     try:
-        mask = os.sched_getaffinity(0)
-        try:
-            os.sched_setaffinity(0, {cpu})
-            os.sched_setaffinity(0, mask)
-        except OSError:  # the CPU left the mask: stay where the fork started
-            pass
-        for fd in inherited:
-            os.close(fd)
-        with open(out_fd, "wb") as out:
-            for i in slices:
-                chunk = _format_slice(i, *layout)
-                out.write(len(chunk).to_bytes(8, "little"))
-                out.write(chunk)
-        status = 0
-    finally:
-        os._exit(status)
+        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, mask)
+    except OSError:  # the CPU left the mask: stay where the fork started
+        pass
+    for i in slices:
+        chunk = _format_slice(i, *layout)
+        out.write(len(chunk).to_bytes(8, "little"))
+        out.write(chunk)
 
 
-def _fork_worker(cpu: int, slices: range, pipes: list, layout: tuple) -> int:
-    """Fork a worker for `slices` on a new pipe, whose read end is appended
-    to `pipes`; returns the worker's pid."""
+def _fork_child(body, pipes: list) -> int:
+    """Fork a child that runs ``body(out)``, `out` the write end of a new
+    pipe whose read end is appended to `pipes`; returns the child's pid.
+
+    The child closes every read end in `pipes`, its own among them, and
+    ends with ``os._exit``, status 0 only if `body` returned, so it flushes
+    no inherited stdio buffer and prints no traceback.
+    """
     import fcntl
 
     r, wfd = os.pipe()
@@ -273,7 +271,15 @@ def _fork_worker(cpu: int, slices: range, pipes: list, layout: tuple) -> int:
             pass
         pid = os.fork()
         if pid == 0:
-            _format_in_worker(cpu, wfd, [p.fileno() for p in pipes], slices, *layout)
+            status = 1
+            try:
+                for p in pipes:
+                    p.close()
+                with open(wfd, "wb") as out:
+                    body(out)
+                status = 0
+            finally:
+                os._exit(status)
     finally:
         os.close(wfd)
     return pid
@@ -316,7 +322,8 @@ def write_field_csv(field: Field, path) -> str:
     try:
         # fork before the file is opened, so that no worker holds it
         for w, cpu in enumerate(cpus):
-            pids.append(_fork_worker(cpu, range(w, n_slices, len(cpus)), pipes, layout))
+            slices = range(w, n_slices, len(cpus))
+            pids.append(_fork_child(lambda out: _send_slices(out, cpu, slices, *layout), pipes))
         header = (_HEADER + "\n").encode()
         digest = hashlib.sha256(header)
         with open(path, "wb") as fh:
@@ -332,6 +339,65 @@ def write_field_csv(field: Field, path) -> str:
         for pid in pids:
             os.waitpid(pid, 0)
     return digest.hexdigest()
+
+
+def _write_outcome(field: Field, path) -> str | Exception:
+    """write_field_csv's digest, or the exception it raised."""
+    try:
+        return write_field_csv(field, path)
+    except Exception as err:  # handed to the caller of FieldCsvWrite.digest
+        return err
+
+
+class FieldCsvWrite:
+    """``write_field_csv(field, path)`` in a forked child, so that the
+    caller can compute while the file is written.
+
+    The child runs write_field_csv unchanged, formatting workers included,
+    and sends back the pickled digest or exception; ``digest()`` waits for
+    it, reaps the child and returns the digest or raises the exception.
+    Used as a context manager, it also reaps a child whose digest was
+    never asked for, after the write ends.  Like the workers, the child only
+    formats, hashes and writes, so it takes no lock that a BLAS thread of
+    the caller may have held at the fork.  Without ``os.fork`` the write
+    runs in the constructor.
+    """
+
+    def __init__(self, field: Field, path):
+        self._path = path
+        self._pipes: list = []
+        self._pid = None
+        if hasattr(os, "fork"):
+            self._pid = _fork_child(
+                lambda out: out.write(pickle.dumps(_write_outcome(field, path))), self._pipes)
+        else:
+            self._outcome = _write_outcome(field, path)
+
+    def _reap(self) -> bytes:
+        """What the child sent, after it has exited."""
+        try:
+            return self._pipes[0].read()
+        finally:
+            self._pipes[0].close()
+            os.waitpid(self._pid, 0)
+            self._pid = None
+
+    def digest(self) -> str:
+        """The file's SHA-256 hex digest, once the write has ended."""
+        if self._pid is not None:
+            sent = self._reap()
+            self._outcome = (pickle.loads(sent) if sent else
+                             RuntimeError(f"{self._path}: the CSV writer stopped early"))
+        if isinstance(self._outcome, Exception):
+            raise self._outcome
+        return self._outcome
+
+    def __enter__(self) -> FieldCsvWrite:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pid is not None:
+            self._reap()
 
 
 def _field_layout(path, data: bytes) -> tuple[tuple[str, ...], int, int]:

@@ -14,11 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sizepop import cli
+from sizepop import cli, optimizer
 from sizepop.characteristics import RootBracketError
 from sizepop.cli import main
 from sizepop.forward import StepContext
-from sizepop.model import Grid3, _grid_eval_full, validate_scenario
+from sizepop.model import Grid3, NumericalError, _grid_eval_full, validate_scenario
 from sizepop.oracles import oracle_transpose_duality, run_oracles
 from sizepop.scenario_io import (
     ScenarioFileError,
@@ -431,10 +431,15 @@ def _raise(err):
     ("lost bracket", 3, "numerical failure: no sign change"),
     ("float overflow", 3, "numerical failure: .*out of range"),
     ("unexpected", 4, "internal error: KeyError: 'boom'"),
+    # optimize: the diagnostics run here while a child writes beta_opt.csv
+    ("diagnostics fail", 3, "numerical failure: non-finite M3"),
+    ("beta_opt.csv is a directory", 1, "error: .*Is a directory"),
 ])
 def test_failures_exit_with_one_line(tmp_path, capsys, monkeypatch, case, code, message):
+    forks = fork_csv_workers(monkeypatch, 2)
     (tmp_path / "file").write_text("")
     out = tmp_path / "out"
+    argv = ["simulate", "--beta", "0.4"]
     if case == "out is a file":
         out = tmp_path / "file"
     elif case == "out below a file":
@@ -443,14 +448,39 @@ def test_failures_exit_with_one_line(tmp_path, capsys, monkeypatch, case, code, 
         monkeypatch.setattr(cli, "solve_state", _raise(RootBracketError("no sign change")))
     elif case == "float overflow":
         monkeypatch.setattr(cli, "solve_state", _raise(OverflowError(34, "out of range")))
-    else:
+    elif case == "unexpected":
         monkeypatch.setattr(cli, "solve_state", _raise(KeyError("boom")))
-    assert main(["simulate", "--scenario", _write(tmp_path, MINIMAL), "--beta", "0.4",
-                 "--out", str(out)]) == code
+    elif case == "diagnostics fail":
+        monkeypatch.setattr(optimizer, "contraction_diagnostics",
+                            _raise(NumericalError("non-finite M3")))
+        argv = ["optimize"]
+    else:
+        (out / "beta_opt.csv").mkdir(parents=True)
+        argv = ["optimize"]
+    assert main([*argv, "--scenario", _write(tmp_path, MINIMAL), "--out", str(out)]) == code
+    assert len(forks) == (argv[0] == "optimize")  # the writer child
+    assert_no_child_left()
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
     assert re.match(message, err), err
     assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_optimize_writes_what_the_library_computes(tmp_path, monkeypatch):
+    # the CSV is written in a child while the diagnostics run in the command
+    forks = fork_csv_workers(monkeypatch, 2)
+    scenario = _write(tmp_path, MINIMAL)
+    out = tmp_path / "opt"
+    assert main(["optimize", "--scenario", scenario, "--seed", "7", "--out", str(out)]) == 0
+    assert forks
+    assert_no_child_left()
+    report = optimizer.optimize(
+        validate_scenario(parse_scenario(scenario)).with_tolerances(seed=7))
+    assert report.contraction is not None
+    assert (out / "report.json").read_text() == json.dumps(report.to_dict(), indent=2) + "\n"
+    digest = json.loads((out / "manifest.json").read_text())["artifacts"]["beta_opt.csv"]
+    assert digest == write_field_csv(report.beta_opt, tmp_path / "beta_opt.csv")
 
 
 def test_failed_write_after_fork_is_usage_error(tmp_path, capsys, monkeypatch):
@@ -483,19 +513,38 @@ def fail_on_slice_one(i, *layout):
     return format_slice(i, *layout)
 
 scenario_io._format_slice = fail_on_slice_one
-sys.exit(main(sys.argv[1:]))
+code = main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child outlived the command", file=sys.stderr)
+except ChildProcessError:
+    pass
+sys.exit(code)
 """
 
 
 def test_dead_worker_is_internal_error(tmp_path):
-    out = tmp_path / "o"
-    done = _run_python("-c", DEAD_WORKER, "simulate", "--scenario", _write(tmp_path, MINIMAL),
-                       "--beta", "0.4", "--out", str(out))
-    assert done.returncode == 4
-    assert len(done.stderr.splitlines()) == 1, done.stderr
-    assert done.stderr.startswith("internal error: RuntimeError: "), done.stderr
-    assert "formatting worker stopped before slice 1" in done.stderr
-    assert not (out / "manifest.json").exists()
+    # optimize's workers are forked by the child that writes beta_opt.csv
+    for argv in (["simulate", "--beta", "0.4"], ["optimize"]):
+        out = tmp_path / argv[0]
+        done = _run_python("-c", DEAD_WORKER, *argv, "--scenario", _write(tmp_path, MINIMAL),
+                           "--out", str(out))
+        assert done.returncode == 4
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+        assert done.stderr.startswith("internal error: RuntimeError: "), done.stderr
+        assert "formatting worker stopped before slice 1" in done.stderr
+        assert not (out / "manifest.json").exists()
+
+
+def test_optimize_warns_of_nothing_in_dev_mode(tmp_path):
+    # -X dev reports a pipe or file left unclosed, in this process or in a
+    # forked one, as a ResourceWarning, which -W error turns into a message
+    script = ("import sys; from sizepop import scenario_io; from sizepop.cli import main; "
+              "scenario_io.PARALLEL_MIN_VALUES = 1; sys.exit(main(sys.argv[1:]))")
+    done = _run_python("-X", "dev", "-W", "error", "-c", script, "optimize",
+                       "--scenario", _write(tmp_path, MINIMAL), "--out", str(tmp_path / "o"))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
 
 
 def _run_python(*args, env=None) -> subprocess.CompletedProcess:

@@ -31,6 +31,7 @@ from sizepop.model import (
 from sizepop.optimizer import optimize
 from sizepop.presets import smooth_default
 from sizepop.scenario_io import (
+    FieldCsvWrite,
     ScenarioFileError,
     parse_scenario,
     read_field_csv,
@@ -229,6 +230,32 @@ def test_dead_worker_fails_the_write(tmp_path, monkeypatch):
     monkeypatch.setattr(scenario_io, "_format_slice", fail_on_slice_one)
     with pytest.raises(RuntimeError, match="formatting worker stopped before slice 1"):
         write_field_csv(full_field(grid, STX, 0.5), tmp_path / "field.csv")
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("can_fork", [True, False])
+def test_field_csv_written_in_a_child_matches_reference_writer(tmp_path, monkeypatch, can_fork):
+    grid = Grid3(Ns=3, Nt=4, Nx=5, s_f=1.0, T=0.7, L=1.3)
+    fld = _special_field(grid, STX, np.random.default_rng(4))
+    forks = fork_csv_workers(monkeypatch, 2)
+    if not can_fork:
+        monkeypatch.delattr(os, "fork")  # the write runs in the calling process
+    path = tmp_path / "field.csv"
+    with FieldCsvWrite(fld, path) as write:
+        digest = write.digest()
+    # one writer child here; it forks the formatting workers itself
+    assert len(forks) == can_fork
+    assert_no_child_left()
+    assert path.read_text() == reference_field_csv(fld)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_writer_child_that_dies_fails_the_write(tmp_path, monkeypatch):
+    grid = Grid3(Ns=3, Nt=4, Nx=5, s_f=1.0, T=0.7, L=1.3)
+    monkeypatch.setattr(scenario_io, "_write_outcome", lambda field, path: os._exit(1))
+    with FieldCsvWrite(full_field(grid, STX, 0.5), tmp_path / "field.csv") as write:
+        with pytest.raises(RuntimeError, match="the CSV writer stopped early"):
+            write.digest()
     assert_no_child_left()
 
 

@@ -71,8 +71,8 @@ class TestEvaluateCost:
 
     def test_batch_stores_no_state(self):
         # the eight controls' states, stored, would be eight such fields.
-        # The march itself holds two level slices of the batch, the step's
-        # temporaries and numpy's 64 KB ufunc buffers, 1.4 fields here; a
+        # The march itself holds its level slices of the batch, the step's
+        # temporaries and numpy's 64 KB ufunc buffers, 1.25 fields here; a
         # single stored member state on top of that would exceed two.
         vsc = smooth_default(40, 40, 20)
         grid = vsc.grid
@@ -89,6 +89,28 @@ class TestEvaluateCost:
             tracemalloc.stop()
             gc.enable()
         assert peak - before < 2 * field_bytes
+
+    @pytest.mark.parametrize("consumer, k", [(evaluate_costs, 8), (contraction_diagnostics, 5)],
+                             ids=["evaluate_costs", "contraction_diagnostics"])
+    def test_consumer_drops_each_level_before_the_next(self, consumer, k):
+        # a consumer that keeps its last level slice while the march steps
+        # holds one more batch slice: 1.44 fields for evaluate_costs at K = 8
+        # and 1.40 for the diagnostics' five samples, against 1.25 and 1.23
+        vsc = smooth_default(40, 40, 20)
+        grid = vsc.grid
+        field_bytes = 8 * grid.Ns * (grid.Nt + 1) * grid.Nx
+        betas = 0.2 + 0.5 * np.random.default_rng(0).random((k, grid.Ns, grid.Nt + 1, grid.Nx))
+        vsc.step_context
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            consumer(vsc, betas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert peak - before < 1.33 * field_bytes
 
 
 class TestProjection:
