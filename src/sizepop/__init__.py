@@ -33,9 +33,7 @@ from .optimizer import (
     ContractionDiagnostics,
     OptimizationReport,
     contraction_diagnostics,
-    evaluate_cost,
     evaluate_costs,
-    fixed_point_update,
     gradient_field,
     optimize,
 )

@@ -14,7 +14,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import rates as rate_lib
 from .rates import RateField
 
 # Cells in one (size, time, space) field: 16 GiB of float64.  A larger grid
@@ -163,20 +162,6 @@ class VitalRates:
     C: RateField
     p0: RateField
 
-    @staticmethod
-    def constants(gamma=1.0, mu=0.1, r=0.5, f=0.0, C=0.0, p0=1.0) -> "VitalRates":
-        def mk(v, axes):
-            return v if isinstance(v, RateField) else rate_lib.constant(v, axes)
-
-        return VitalRates(
-            gamma=mk(gamma, ("size", "time")),
-            mu=mk(mu, ("size", "time", "space")),
-            r=mk(r, ("size", "time", "space")),
-            f=mk(f, ("size", "time", "space")),
-            C=mk(C, ("time", "space")),
-            p0=mk(p0, ("size", "space")),
-        )
-
 
 @dataclass(frozen=True)
 class ControlBounds:
@@ -184,13 +169,6 @@ class ControlBounds:
 
     phi_l: RateField
     phi_m: RateField
-
-    @staticmethod
-    def constants(phi_l: float, phi_m: float) -> "ControlBounds":
-        return ControlBounds(
-            phi_l=rate_lib.constant(phi_l, ("size", "time", "space")),
-            phi_m=rate_lib.constant(phi_m, ("size", "time", "space")),
-        )
 
 
 @dataclass(frozen=True)

@@ -105,22 +105,6 @@ def evaluate_costs(vsc: ValidatedScenario, betas) -> np.ndarray:
     return J
 
 
-def evaluate_cost(state: StateSolution, cost: CostParams) -> float:
-    """J = integral of [p -/+ rho/2 * beta^2] under the volume quadrature,
-    at the control the state was solved with, summed level by level as the
-    sweep sums it.
-
-    Only tests call it: it is the stored-field form of the cost, which they
-    hold the sweep's J_history and evaluate_costs to, bit for bit.
-    """
-    grid = state.p.grid
-    w = grid.volume_weights()
-    J = 0.0
-    for j in range(grid.Nt + 1):
-        J += float(_level_cost(w[j], state.p.values[:, j, :], state.beta[:, j, :], cost))
-    return J
-
-
 def gradient_field(state: StateSolution, adjoint: AdjointSolution,
                    vsc: ValidatedScenario) -> Field:
     """Pointwise derivative density of the cost with respect to the control.
@@ -148,18 +132,6 @@ def _update_target(vsc: ValidatedScenario, p: np.ndarray, phi0: np.ndarray,
     cost = vsc.cost
     h = cost.control_sign * vsc.r_grid[at] * p * phi0 / (cost.c * cost.rho)
     return np.clip(h, vsc.phi_l_grid[at], vsc.phi_m_grid[at])
-
-
-def fixed_point_update(state: StateSolution, adjoint: AdjointSolution,
-                       vsc: ValidatedScenario) -> Field:
-    """Projected stationarity map over the whole grid: the sweep's per-level
-    update applied to a stored state and adjoint.
-
-    Only tests call it: it is the stored-field form of the update, which
-    they check the streamed sweep and its converged control against.
-    """
-    return Field(vsc.grid, ("size", "time", "space"),
-                 _update_target(vsc, state.p.values, adjoint.phi_at_zero.values[None, :, :]))
 
 
 def _distinct_values(view: np.ndarray) -> np.ndarray:

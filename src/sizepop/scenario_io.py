@@ -8,8 +8,11 @@ misspelled rate cannot silently fall back to a default.  Rates are numbers
 Fields serialize to CSV with the fixed header ``s,t,x,value``; rows iterate
 size-major, then time, then space over the axes the field actually has, and
 the columns of inactive axes stay empty.  Values print with 17 significant
-digits, which round-trips float64 bit-exactly.  The writer streams the file
-one slice of the leading axis at a time; the reader checks the header and
+digits, which round-trips float64 bit-exactly, as the bytes of ``%.17g``:
+format_g17 computes them in numpy for 1e-4 <= |v| < 1e17, a block of about
+_BLOCK_VALUES values at a time, and leaves the other values to Python's
+``%.17g``, which gives the same bytes.  The writer streams the file one
+slice of the leading axis at a time; the reader checks the header and
 column counts on the raw bytes, parses the used columns in one
 ``np.loadtxt`` pass and compares each coordinate column with the grid.
 
@@ -31,6 +34,7 @@ import itertools
 import json
 import os
 import pickle
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +216,154 @@ PARALLEL_MIN_VALUES = 1 << 15
 # a dozen round trips through the default 64 KB pipe; with 1 MB pipes the
 # field was written faster in 10 of 10 alternating rounds.
 _PIPE_BYTES = 1 << 20
+# Values formatted at once: the texts of one block are all a writer holds.
+# Formatting each worker's 820k values at once took optimize's peak RSS at
+# 160x160x64 from 84 to 146 MB.
+_BLOCK_VALUES = 1 << 15
+
+# format_g17 writes the 17 digits as five native uint32 words of four ASCII
+# bytes: "000" and the leading digit, then four 4-digit chunks.
+_CHUNK_DIGITS = (np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1) + ord("0")).T.copy()
+_CHUNK_TEXT = _CHUNK_DIGITS.view(np.uint32).ravel()
+_LEAD_TEXT = np.where(np.arange(4) < 3, ord("0"), _CHUNK_DIGITS[:10]).astype(np.uint8)
+_LEAD_TEXT = _LEAD_TEXT.view(np.uint32).ravel()
+_POW10 = np.array([float(10 ** k) for k in range(21)])  # exact float64s
+
+
+def _chunk_zeros() -> np.ndarray:
+    """The trailing zeros of each 4-digit chunk 0 ... 9999, 4 for 0."""
+    zeros = np.zeros(10_000, np.int64)
+    for k in range(1, 5):
+        zeros[::10 ** k] += 1
+    return zeros
+
+
+def _keep_masks() -> np.ndarray:
+    """Row 17 * g + z keeps, as three uint64 masks of a 24-byte text, the
+    length of the text of group g (see format_g17) whose 17 digits end in
+    z zeros: the sign, the integer part, and the point and the fraction
+    when the fraction has a nonzero digit."""
+    g, z = np.divmod(np.arange(42 * 17), 17)
+    e = g // 2 - 4
+    fraction = np.maximum(16 - e - z, 0)
+    length = g % 2 + np.maximum(e + 1, 1) + (fraction > 0) * (fraction + 1)
+    return np.where(np.arange(24) < length[:, None], 255, 0).astype(np.uint8).view(np.uint64)
+
+
+_CHUNK_ZEROS = _chunk_zeros()
+_KEEP = _keep_masks()
+
+
+def _split(a):
+    """Veltkamp's split a == hi + lo, each half with at most 26 significant bits."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _digits17(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """a * 10**(16 - e) rounded half to even, exactly, as int64.
+
+    Dekker's two-product gives p + err == a * 10**k exactly.  Where the
+    result has 17 digits, p >= 2**53 is an even integer, so rounding
+    p + err is rounding err.
+    """
+    k = 16 - e.astype(np.intp)
+    p = a * np.take(_POW10, k)
+    ah, al = _split(a)
+    bh, bl = np.take(_POW10_HI, k), np.take(_POW10_LO, k)
+    # err = ((ah*bh - p) + ah*bl + al*bh) + al*bl, in place
+    err = ah * bh
+    err -= p
+    ah *= bl
+    err += ah
+    bh *= al
+    err += bh
+    al *= bl
+    err += al
+    n = p.astype(np.int64)
+    n += np.rint(err, out=err).astype(np.int64)
+    return n
+
+
+def _significand(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n, e) with n the 17-digit integer of a = n * 10**(e - 16), correctly
+    rounded, for 1e-4 <= a < 1e17: the decimal exponent e from log10 is
+    fixed up until n has 17 digits."""
+    e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int8)
+    n = _digits17(a, e)
+    while True:
+        fix = np.flatnonzero((n - 10 ** 16).view(np.uint64) >= 9 * 10 ** 16)
+        if not fix.size:
+            return n, e
+        e[fix] += np.where(n[fix] < 10 ** 16, -1, 1).astype(np.int8)
+        n[fix] = _digits17(a[fix], e[fix])
+
+
+def _digit_text(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows "000" and the 17 digits of each n, as uint8, and the count
+    of n's trailing zeros."""
+    high = n // 10 ** 8
+    c34 = n - high * 10 ** 8
+    lead = high // 10 ** 8
+    c12 = high - lead * 10 ** 8
+    c1, c3 = c12 // 10 ** 4, c34 // 10 ** 4
+    c2, c4 = c12 - c1 * 10 ** 4, c34 - c3 * 10 ** 4
+    words = np.empty((n.size, 5), np.uint32)
+    # the indices are in range: mode "wrap" only spares take a buffered copy
+    np.take(_LEAD_TEXT, lead, out=words[:, 0], mode="wrap")
+    for j, c in enumerate((c1, c2, c3, c4), 1):
+        np.take(_CHUNK_TEXT, c, out=words[:, j], mode="wrap")
+    zeros = _CHUNK_ZEROS[c4]
+    for k, c in enumerate((c3, c2, c1), 1):
+        at = np.flatnonzero(zeros == 4 * k)  # the chunks after c are zero
+        if not at.size:
+            break
+        zeros[at] += _CHUNK_ZEROS[c[at]]
+    return words.view(np.uint8), zeros
+
+
+def format_g17(values) -> np.ndarray:
+    """``b"%.17g" % v`` for each float v, byte for byte, as an ``S24`` array
+    (its ``tolist()`` strips the NUL padding).
+
+    For 1e-4 <= |v| < 1e17, where ``%.17g`` prints no exponent, the text is
+    built from the exactly rounded 17 digits (see _significand).  The values
+    are sorted into 42 groups by exponent and sign, so each group's text is a
+    few column copies from the digit rows; the fraction's trailing zeros,
+    and the point before an empty fraction, are then cut to NUL.  Zeros,
+    nan, infinities and the other magnitudes go through Python's ``%.17g``
+    one at a time.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    a = np.abs(x)
+    slow = np.flatnonzero(~((a >= 1e-4) & (a < 1e17)))
+    a[slow] = 1.0  # a stand-in, overwritten by Python's text at the end
+    n, e = _significand(a)
+    # group g = 2 * (e + 4) + (v < 0) for e in -4..16
+    key = (2 * (e + 4) + (x < 0)).view(np.uint8)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    digits, zeros = _digit_text(n[order])
+    text = np.empty((x.size, 24), np.uint8)
+    ends = np.searchsorted(key, np.arange(43))
+    for g in np.flatnonzero(ends[1:] > ends[:-1]):
+        rows = slice(ends[g], ends[g + 1])
+        sign, ge = g % 2, g // 2 - 4
+        point = sign + max(ge + 1, 1)
+        text[rows, 0] = ord("-")  # the digits overwrite it on a positive row
+        # "0." and the leading zeros of the fraction are in the digit rows
+        text[rows, sign:point] = digits[rows, 3 - (ge < 0):4 + max(ge, -1)]
+        text[rows, point] = ord(".")
+        text[rows, point + 1:point + 17 - ge] = digits[rows, 4 + ge:20]
+    text.view(np.uint64)[:] &= np.take(_KEEP, 17 * key.astype(np.intp) + zeros, axis=0)
+    out = np.empty(x.size, "S24")
+    out[order] = text.view("S24").ravel()
+    out[slow] = [b"%.17g" % v for v in x[slow].tolist()]
+    return out
 
 
 def _worker_cpus(n_slices: int, n_values: int) -> list[int]:
@@ -225,11 +377,24 @@ def _worker_cpus(n_slices: int, n_values: int) -> list[int]:
     return cpus[:n] if n > 1 else []
 
 
-def _format_slice(i: int, lead: int, coords: list[str], tails: list[str],
-                  values: np.ndarray) -> bytes:
-    """The rows of slice i of the leading axis, through one ``%`` template."""
-    prefix = "," * lead + coords[i]
-    return ((prefix + prefix.join(tails)) % tuple(values[i].tolist())).encode()
+def _format_slice(i: int, lead: int, coords: list[bytes], tails: list[bytes],
+                  texts: list[bytes]) -> bytes:
+    """The rows of slice i of the leading axis: the texts of its values
+    through one ``%`` template."""
+    prefix = b"," * lead + coords[i]
+    return (prefix + prefix.join(tails)) % tuple(texts)
+
+
+def _format_slices(slices: range, lead: int, coords: list[bytes], tails: list[bytes],
+                   values: np.ndarray) -> Iterator[bytes]:
+    """The rows of each slice in `slices`, formatting the values of about
+    _BLOCK_VALUES of them at a time."""
+    per_block = max(1, _BLOCK_VALUES // len(tails))
+    for b in range(0, len(slices), per_block):
+        block = slices[b:b + per_block]
+        texts = format_g17(values[block.start:block.stop:block.step]).reshape(len(block), -1)
+        for i, row in zip(block, texts):
+            yield _format_slice(i, lead, coords, tails, row.tolist())
 
 
 def _send_slices(out, cpu: int, slices: range, *layout) -> None:
@@ -246,8 +411,7 @@ def _send_slices(out, cpu: int, slices: range, *layout) -> None:
         os.sched_setaffinity(0, mask)
     except OSError:  # the CPU left the mask: stay where the fork started
         pass
-    for i in slices:
-        chunk = _format_slice(i, *layout)
+    for chunk in _format_slices(slices, *layout):
         out.write(len(chunk).to_bytes(8, "little"))
         out.write(chunk)
 
@@ -301,19 +465,20 @@ def write_field_csv(field: Field, path) -> str:
 
     See the module docstring for the format.  Each axis's coordinates are
     formatted once, and each slice of the leading axis through one ``%``
-    template.  A field of at least 2 * PARALLEL_MIN_VALUES values forks up
-    to one worker per CPU (see _worker_cpus); worker w of n formats slices
-    w, w+n, ... and the caller writes and hashes them in order, so the bytes
-    do not depend on n.  A worker that stops early raises ``RuntimeError``,
-    and no worker outlives the call.  The workers only format strings and
-    write to their pipes, so they take no lock that another thread of the
-    caller, such as a BLAS pool, may have held at the fork.
+    template whose values format_g17 has turned into text.  A field of at
+    least 2 * PARALLEL_MIN_VALUES values forks up to one worker per CPU (see
+    _worker_cpus); worker w of n formats slices w, w+n, ... and the caller
+    writes and hashes them in order, so the bytes do not depend on n.  A
+    worker that stops early raises ``RuntimeError``, and no worker outlives
+    the call.  The workers only format strings and write to their pipes, so
+    they take no lock that another thread of the caller, such as a BLAS
+    pool, may have held at the fork.
     """
-    columns = [[f"{c:.17g}" for c in field.grid.axis_coords(a)] if a in field.axes else [""]
+    columns = [format_g17(field.grid.axis_coords(a)).tolist() if a in field.axes else [b""]
                for a in _AXES]
     lead = _AXIS_COLUMN[field.axes[0]]
-    # the rows of one slice, each after its leading coordinate: ",<cols>,%.17g\n"
-    tails = ["".join("," + c for c in combo) + ",%.17g\n"
+    # the rows of one slice, each after its leading coordinate: ",<cols>,%s\n"
+    tails = [b"".join(b"," + c for c in combo) + b",%s\n"
              for combo in itertools.product(*columns[lead + 1:])]
     n_slices = len(columns[lead])
     layout = (lead, columns[lead], tails, field.values.reshape(n_slices, len(tails)))
@@ -324,13 +489,13 @@ def write_field_csv(field: Field, path) -> str:
         for w, cpu in enumerate(cpus):
             slices = range(w, n_slices, len(cpus))
             pids.append(_fork_child(lambda out: _send_slices(out, cpu, slices, *layout), pipes))
+        chunks = ((_read_slice(pipes[i % len(pipes)], path, i) for i in range(n_slices))
+                  if pipes else _format_slices(range(n_slices), *layout))
         header = (_HEADER + "\n").encode()
         digest = hashlib.sha256(header)
         with open(path, "wb") as fh:
             fh.write(header)
-            for i in range(n_slices):
-                chunk = (_read_slice(pipes[i % len(pipes)], path, i) if pipes
-                         else _format_slice(i, *layout))
+            for chunk in chunks:
                 fh.write(chunk)
                 digest.update(chunk)
     finally:

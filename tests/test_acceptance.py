@@ -17,8 +17,6 @@ from sizepop.adjoint import duality_residual, solve_adjoint
 from sizepop.model import control_array, validate_scenario
 from sizepop.optimizer import (
     contraction_diagnostics,
-    evaluate_cost,
-    fixed_point_update,
     gradient_field,
     optimize,
 )
@@ -34,7 +32,12 @@ from sizepop.presets import (
     smooth_default,
     tiny_random,
 )
-from conftest import random_nonneg_scenario, smooth_random_rate
+from conftest import (
+    evaluate_cost,
+    fixed_point_update,
+    random_nonneg_scenario,
+    smooth_random_rate,
+)
 
 
 def _report(criterion, ok, detail):

@@ -10,8 +10,8 @@ from sizepop import rates as rate_lib
 from sizepop.adjoint import duality_residual, march_adjoint, solve_adjoint, solve_sensitivity
 from sizepop.model import Grid3, NumericalError, Scenario, VitalRates, validate_scenario
 from sizepop.presets import smooth_default, tiny_random
-from sizepop.optimizer import evaluate_cost, optimize
-from conftest import assemble_step_matrix, unit_scenario
+from sizepop.optimizer import optimize
+from conftest import assemble_step_matrix, evaluate_cost, unit_scenario
 
 
 def test_terminal_condition_is_exactly_zero():

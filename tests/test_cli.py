@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sizepop import cli, optimizer
+from sizepop import cli, optimizer, oracles
 from sizepop.characteristics import RootBracketError
 from sizepop.cli import main
 from sizepop.forward import StepContext
@@ -579,6 +579,24 @@ def test_import_leaves_scipy_interpolate_unloaded():
     done = _run_python("-c", probe)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_import_leaves_oracles_and_presets_unloaded():
+    # only the oracle and gradcheck commands import them
+    probe = ("import sys, sizepop.cli; "
+             "print(sorted(m for m in ('sizepop.oracles', 'sizepop.presets') if m in sys.modules))")
+    done = _run_python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_oracle_help_names_the_oracles(capsys):
+    assert cli.ORACLE_NAMES == oracles.ORACLE_NAMES
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"comma-separated subset of {', '.join(oracles.ORACLE_NAMES)}" in out
 
 
 def test_dense_diffusion_is_the_same_at_one_and_two_blas_threads():

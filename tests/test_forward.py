@@ -19,14 +19,10 @@ from sizepop.forward import (
     total_population,
 )
 from sizepop.model import (
-    ControlBounds,
     Field,
     Grid3,
     NumericalError,
-    Scenario,
-    VitalRates,
     control_array,
-    validate_scenario,
 )
 from sizepop.optimizer import optimize
 from sizepop.presets import mass_balance_preset, tiny_random
@@ -156,9 +152,7 @@ class TestSolveState:
         grid = Grid3(Ns=48, Nt=24, Nx=4, s_f=1.0, T=0.5, L=1.0)
         p0 = rate_lib.from_callable(lambda s, x: (0.8 + 0.1 * s) * np.ones_like(x),
                                     ("size", "space"))
-        rates = VitalRates.constants(gamma=1.0, mu=0.0, r=0.5, f=0.0, C=0.0, p0=p0)
-        vsc = validate_scenario(Scenario(grid=grid, rates=rates, k=0.01,
-                                         bounds=ControlBounds.constants(0.0, 1.0)))
+        vsc = unit_scenario(grid, p0=p0, k=0.01)
         st = sp.solve_state(vsc, 0.0)
         P = total_population(st.p)
         assert (np.diff(P) <= 1e-14).all()  # nonincreasing
@@ -186,9 +180,7 @@ class TestSolveState:
         k = 0.01
         p0 = rate_lib.from_callable(
             lambda s, x: (1.0 + 0.5 * np.cos(np.pi * x)) * np.ones_like(s), ("size", "space"))
-        rates = VitalRates.constants(gamma=1.0, mu=0.0, r=0.5, f=0.0, C=0.0, p0=p0)
-        vsc = validate_scenario(Scenario(grid=grid, rates=rates, k=k,
-                                         bounds=ControlBounds.constants(0.0, 1.0)))
+        vsc = unit_scenario(grid, p0=p0, k=k)
         st = sp.solve_state(vsc, 0.0)
         lam1 = 2.0 * (1.0 - np.cos(np.pi * grid.dx / grid.L)) / grid.dx**2
         factor = 1.0 / (1.0 + k * lam1 * grid.dt)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -17,14 +18,10 @@ from sizepop.adjoint import solve_adjoint
 from sizepop.forward import solve_state
 from sizepop.model import (
     ControlBounds,
-    CostParams,
     Field,
     Grid3,
-    Scenario,
     ScenarioValidationError,
-    Tolerances,
     ValidatedScenario,
-    VitalRates,
     _grid_eval_full,
     validate_scenario,
 )
@@ -33,28 +30,28 @@ from sizepop.presets import smooth_default
 from sizepop.scenario_io import (
     FieldCsvWrite,
     ScenarioFileError,
+    format_g17,
     parse_scenario,
     read_field_csv,
     scenario_from_dict,
     write_field_csv,
 )
-from conftest import assert_no_child_left, fork_csv_workers, full_field, tabulated_scenario
+from conftest import (
+    assert_no_child_left,
+    fork_csv_workers,
+    full_field,
+    scenario_of,
+    tabulated_scenario,
+)
 
 SMOOTH_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "smooth.json"
 STX = ("size", "time", "space")
 
 
-def _scenario(**overrides):
-    base = dict(
-        grid=Grid3(Ns=4, Nt=4, Nx=4, s_f=1.0, T=1.0, L=1.0),
-        rates=VitalRates.constants(gamma=1.0, mu=0.1, r=0.5, f=0.0, C=0.0, p0=1.0),
-        k=0.01,
-        bounds=ControlBounds.constants(0.0, 1.0),
-        cost=CostParams(),
-        tolerances=Tolerances(),
-    )
-    base.update(overrides)
-    return Scenario(**base)
+def _scenario(grid=Grid3(Ns=4, Nt=4, Nx=4, s_f=1.0, T=1.0, L=1.0), k=0.01, bounds=(0.0, 1.0),
+              **rates):
+    rates = dict(gamma=1.0, mu=0.1, r=0.5, f=0.0, C=0.0, p0=1.0) | rates
+    return scenario_of(grid, rates, k=k, bounds=bounds)
 
 
 def test_constant_rate_scenario_accepted():
@@ -65,19 +62,19 @@ def test_constant_rate_scenario_accepted():
 
 
 def test_female_ratio_one_rejected():
-    sc = _scenario(rates=VitalRates.constants(r=1.0))
+    sc = _scenario(r=1.0)
     with pytest.raises(ScenarioValidationError, match="A5"):
         validate_scenario(sc)
 
 
 def test_bounds_order_rejected():
-    sc = _scenario(bounds=ControlBounds.constants(0.5, 0.2))
+    sc = _scenario(bounds=(0.5, 0.2))
     with pytest.raises(ScenarioValidationError, match="phi_l > phi_m"):
         validate_scenario(sc)
 
 
 def test_violations_reported_together():
-    sc = _scenario(rates=VitalRates.constants(r=1.0, mu=-0.1), k=-1.0)
+    sc = _scenario(r=1.0, mu=-0.1, k=-1.0)
     with pytest.raises(ScenarioValidationError) as exc:
         validate_scenario(sc)
     text = str(exc.value)
@@ -87,14 +84,14 @@ def test_violations_reported_together():
 def test_mixed_growth_sign_rejected():
     gamma = rate_lib.from_callable(
         lambda s, t: np.maximum(0.5 - t, 0.0) + 0.0 * s, ("size", "time"))
-    sc = _scenario(rates=VitalRates.constants(gamma=gamma))
+    sc = _scenario(gamma=gamma)
     with pytest.raises(ScenarioValidationError, match="not uniform"):
         validate_scenario(sc)
 
 
 def test_negative_initial_density_rejected():
     p0 = rate_lib.from_callable(lambda s, x: np.cos(np.pi * x) + 0.0 * s, ("size", "space"))
-    sc = _scenario(rates=VitalRates.constants(p0=p0))
+    sc = _scenario(p0=p0)
     with pytest.raises(ScenarioValidationError, match="p0 < 0"):
         validate_scenario(sc)
 
@@ -231,6 +228,69 @@ def test_dead_worker_fails_the_write(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="formatting worker stopped before slice 1"):
         write_field_csv(full_field(grid, STX, 0.5), tmp_path / "field.csv")
     assert_no_child_left()
+
+
+def _printf(values) -> list[bytes]:
+    return [b"%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+def test_format_g17_matches_printf_at_the_edges():
+    tiny = np.finfo(float).tiny
+    values = [0.0, np.nan, np.inf, 5e-324, tiny, tiny / 2 ** 20, np.finfo(float).max,
+              # ties at the 17th digit, and the float 1e17 written out
+              1e15 + 0.25, 1e15 + 0.5, 1e15 + 0.75, 1e15 + 1.5, 99999999999999999.0]
+    # every power of ten from 1e-4 to 1e17, each with its two neighbours
+    for x in [float(f"1e{k}") for k in range(-4, 18)]:
+        values += [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+    values = np.array(values)
+    values = np.concatenate([values, -values])
+    assert format_g17(values).tolist() == _printf(values)
+
+
+def test_format_g17_matches_printf_on_random_bit_patterns():
+    rng = np.random.default_rng(23)
+    n = 1 << 19
+    # binary exponents -14 ... 56 cover 1e-4 <= |v| < 1e17 and a little more
+    in_range = (rng.integers(0, 1 << 52, n, dtype=np.uint64)
+                | rng.integers(1023 - 14, 1023 + 57, n, dtype=np.uint64) << np.uint64(52)
+                | rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63))
+    # fewer over all bits: the reference, Python's %.17g, takes 1 us on most
+    any_bits = rng.integers(0, 2 ** 64, 1 << 16, dtype=np.uint64)
+    values = np.concatenate([in_range, any_bits]).view(np.float64)
+    bad = np.flatnonzero(format_g17(values) != np.array(_printf(values), "S24"))
+    assert not bad.size, [(v, b"%.17g" % v, format_g17([v])[0]) for v in values[bad[:3]]]
+
+
+def test_field_csv_formatted_in_blocks_matches_reference_writer(tmp_path, monkeypatch):
+    # 7 slices of 5 values, 2 slices to a block; the workers' blocks take
+    # every other slice
+    grid = Grid3(Ns=3, Nt=6, Nx=5, s_f=1.0, T=0.7, L=1.3)
+    rng = np.random.default_rng(6)
+    values = rng.uniform(-1.0, 1.0, (7, 5)) * 10.0 ** rng.uniform(-5.0, 18.0, (7, 5))
+    values[3, 1:4] = [0.0, np.nan, 0.5]
+    fld = Field(grid, ("time", "space"), values)
+    monkeypatch.setattr(scenario_io, "_BLOCK_VALUES", 12)
+    for cpus in (1, 2):
+        fork_csv_workers(monkeypatch, cpus)
+        path = tmp_path / f"field{cpus}.csv"
+        write_field_csv(fld, path)
+        assert path.read_text() == reference_field_csv(fld)
+
+
+def test_one_process_write_holds_one_block_of_texts(tmp_path, monkeypatch):
+    # 2**17 values in blocks of 2**15: the texts of all of them at once
+    # would take about twice the file's size
+    grid = Grid3(Ns=64, Nt=63, Nx=32, s_f=1.0, T=1.0, L=1.0)
+    fld = Field(grid, STX, np.random.default_rng(5).random((64, 64, 32)))
+    monkeypatch.setattr(scenario_io, "_worker_cpus", lambda n_slices, n_values: [])
+    path = tmp_path / "field.csv"
+    tracemalloc.start()
+    try:
+        write_field_csv(fld, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 @pytest.mark.parametrize("can_fork", [True, False])

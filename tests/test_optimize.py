@@ -26,15 +26,13 @@ from sizepop.model import (
 )
 from sizepop.optimizer import (
     contraction_diagnostics,
-    evaluate_cost,
     evaluate_costs,
-    fixed_point_update,
     gradient_field,
     optimize,
 )
 from sizepop.presets import smooth_default, tiny_random
-from sizepop.scenario_io import scenario_from_dict
-from conftest import full_field, unit_scenario, with_cost
+from sizepop.scenario_io import parse_rate, scenario_from_dict
+from conftest import evaluate_cost, fixed_point_update, full_field, unit_scenario, with_cost
 
 GRID = Grid3(Ns=4, Nt=5, Nx=4, s_f=1.0, T=1.0, L=1.0)
 SMOOTH_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "smooth.json"
@@ -212,9 +210,7 @@ class TestOptimize:
 
     def test_relaxed_update_stays_in_a_pinned_box(self):
         # (1 - omega)*0.1 + omega*0.1 rounds to 0.09999999999999999 at omega = 0.3
-        sc = smooth_default(8, 8, 4).scenario
-        vsc = validate_scenario(replace(sc, bounds=ControlBounds.constants(0.1, 0.1),
-                                        tolerances=replace(sc.tolerances, relax_omega=0.3)))
+        vsc = _pinned_relaxed_box()
         rep = optimize(vsc)
         assert (rep.beta_opt.values >= vsc.phi_l_grid).all()
         assert (rep.beta_opt.values <= vsc.phi_m_grid).all()
@@ -459,7 +455,8 @@ def _growth_scenario(gamma, **kw):
 
 def _pinned_relaxed_box():
     sc = smooth_default(8, 8, 4).scenario
-    return validate_scenario(replace(sc, bounds=ControlBounds.constants(0.1, 0.1),
+    bounds = ControlBounds(*(parse_rate(name, 0.1, sc.grid) for name in ("phi_l", "phi_m")))
+    return validate_scenario(replace(sc, bounds=bounds,
                                      tolerances=replace(sc.tolerances, relax_omega=0.3)))
 
 

@@ -26,10 +26,10 @@ from sizepop import rates as rate_lib
 from sizepop.adjoint import solve_adjoint
 from sizepop.forward import DENSE_DIFFUSION_MAX_NX, march_states, solve_state
 from sizepop.model import Grid3, NumericalError
-from sizepop.optimizer import evaluate_cost, evaluate_costs, gradient_field
+from sizepop.optimizer import evaluate_costs, gradient_field
 from sizepop.oracles import brute_force_search, gradient_check
 from sizepop.presets import brute_force_instance, smooth_default, tiny_random
-from conftest import unit_scenario
+from conftest import evaluate_cost, unit_scenario
 
 
 def thomas(sub, diag, sup, rhs):
