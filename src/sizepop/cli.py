@@ -7,10 +7,9 @@ monotonic clock), the seed, the sizepop, Python and numpy versions (the
 last bits of a solve depend on the numpy and BLAS build), the grid and
 growth case of a run on one scenario, and a SHA-256 checksum of every
 artifact, computed from the bytes as they are written.
-Field CSVs are written by the command's own process, which forks the
-formatting workers for a large field (see scenario_io), except for
-optimize's beta_opt.csv: once the sweep has returned, one forked child
-writes it, forking the workers itself, while this process computes the
+Field CSVs are formatted and written by the command's own process (see
+scenario_io), except for optimize's beta_opt.csv: once the sweep has
+returned, one forked child writes it while this process computes the
 contraction diagnostics; report.json and the manifest follow once the
 child has sent the CSV's digest.
 Exit codes: 0 success, 1 usage or configuration error (including a file

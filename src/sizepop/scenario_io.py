@@ -16,15 +16,12 @@ slice of the leading axis at a time; the reader checks the header and
 column counts on the raw bytes, parses the used columns in one
 ``np.loadtxt`` pass and compares each coordinate column with the grid.
 
-A field of at least ``2 * PARALLEL_MIN_VALUES`` values is formatted by up to
-one forked process per CPU in the affinity mask, so ``taskset`` limits them.
-The calling process writes the slices in order, so the bytes do not depend
-on the worker count.  It hashes them as it writes: ``write_field_csv``
-returns the file's SHA-256, and the run manifest records that digest
-without reading the file back.  ``FieldCsvWrite`` runs the same
-``write_field_csv`` in one forked child, which forks the formatting workers
-itself and sends the digest back, so the calling process can compute while
-the file is written.
+The writer formats, hashes and writes the slices in order in the calling
+process: ``write_field_csv`` returns the file's SHA-256, and the run
+manifest records that digest without reading the file back.
+``FieldCsvWrite`` runs the same ``write_field_csv`` in one forked child,
+which sends the digest back, so the calling process can compute while the
+file is written.
 """
 
 from __future__ import annotations
@@ -36,6 +33,7 @@ import os
 import pickle
 from collections.abc import Iterator
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -208,17 +206,9 @@ _AXIS_COLUMN = {"size": 0, "time": 1, "space": 2}
 _HEADER = "s,t,x,value"
 
 
-# Fewest values per formatting worker.  As the first write of a fresh
-# process on a 2-vCPU host, two workers saved 2 ms at 32,800 values and
-# 30% from 65,600 on.
-PARALLEL_MIN_VALUES = 1 << 15
-# Capacity asked for each worker's pipe.  At 160x160x64 a slice is 770 KB,
-# a dozen round trips through the default 64 KB pipe; with 1 MB pipes the
-# field was written faster in 10 of 10 alternating rounds.
-_PIPE_BYTES = 1 << 20
 # Values formatted at once: the texts of one block are all a writer holds.
-# Formatting each worker's 820k values at once took optimize's peak RSS at
-# 160x160x64 from 84 to 146 MB.
+# Formatting 820k values at once took optimize's peak RSS at 160x160x64
+# from 84 to 146 MB.
 _BLOCK_VALUES = 1 << 15
 
 # format_g17 writes the 17 digits as five native uint32 words of four ASCII
@@ -366,98 +356,45 @@ def format_g17(values) -> np.ndarray:
     return out
 
 
-def _worker_cpus(n_slices: int, n_values: int) -> list[int]:
-    """The CPUs of the affinity mask to start formatting workers on, one
-    each, at most one per slice and per PARALLEL_MIN_VALUES values; empty
-    when the caller formats every slice itself."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return []
-    cpus = sorted(os.sched_getaffinity(0))
-    n = min(len(cpus), n_slices, n_values // PARALLEL_MIN_VALUES)
-    return cpus[:n] if n > 1 else []
-
-
-def _format_slice(i: int, lead: int, coords: list[bytes], tails: list[bytes],
-                  texts: list[bytes]) -> bytes:
-    """The rows of slice i of the leading axis: the texts of its values
-    through one ``%`` template."""
-    prefix = b"," * lead + coords[i]
-    return (prefix + prefix.join(tails)) % tuple(texts)
-
-
-def _format_slices(slices: range, lead: int, coords: list[bytes], tails: list[bytes],
+def _format_slices(lead: int, coords: list[bytes], tails: list[bytes],
                    values: np.ndarray) -> Iterator[bytes]:
-    """The rows of each slice in `slices`, formatting the values of about
-    _BLOCK_VALUES of them at a time."""
+    """The rows of each slice of the leading axis in order, each through one
+    ``%`` template, formatting the values of about _BLOCK_VALUES of them at
+    a time."""
     per_block = max(1, _BLOCK_VALUES // len(tails))
-    for b in range(0, len(slices), per_block):
-        block = slices[b:b + per_block]
-        texts = format_g17(values[block.start:block.stop:block.step]).reshape(len(block), -1)
-        for i, row in zip(block, texts):
-            yield _format_slice(i, lead, coords, tails, row.tolist())
+    for b in range(0, len(values), per_block):
+        texts = format_g17(values[b:b + per_block]).reshape(-1, len(tails))
+        for i, row in enumerate(texts, b):
+            prefix = b"," * lead + coords[i]
+            yield (prefix + prefix.join(tails)) % tuple(row.tolist())
 
 
-def _send_slices(out, cpu: int, slices: range, *layout) -> None:
-    """Body of a formatting worker: send each slice as its 8-byte length
-    and bytes.
-
-    It moves to `cpu` and then releases itself to the whole mask again: a
-    fork starts on the caller's CPU, and on a 2-vCPU host the kernel was
-    seen to keep both workers there for a whole 259,200-value write.
-    """
-    mask = os.sched_getaffinity(0)
-    try:
-        os.sched_setaffinity(0, {cpu})
-        os.sched_setaffinity(0, mask)
-    except OSError:  # the CPU left the mask: stay where the fork started
-        pass
-    for chunk in _format_slices(slices, *layout):
-        out.write(len(chunk).to_bytes(8, "little"))
-        out.write(chunk)
-
-
-def _fork_child(body, pipes: list) -> int:
+def _fork_child(body) -> tuple[int, BinaryIO]:
     """Fork a child that runs ``body(out)``, `out` the write end of a new
-    pipe whose read end is appended to `pipes`; returns the child's pid.
+    pipe; returns the child's pid and the pipe's read end.
 
-    The child closes every read end in `pipes`, its own among them, and
-    ends with ``os._exit``, status 0 only if `body` returned, so it flushes
-    no inherited stdio buffer and prints no traceback.
+    The child ends with ``os._exit``, status 0 only if `body` returned, so
+    it flushes no inherited stdio buffer and prints no traceback.
     """
-    import fcntl
-
     r, wfd = os.pipe()
-    pipes.append(open(r, "rb"))
+    reader = open(r, "rb")
     try:
-        try:
-            fcntl.fcntl(wfd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        except OSError:  # over the user's pipe quota: keep the default size
-            pass
         pid = os.fork()
         if pid == 0:
             status = 1
             try:
-                for p in pipes:
-                    p.close()
+                reader.close()
                 with open(wfd, "wb") as out:
                     body(out)
                 status = 0
             finally:
                 os._exit(status)
+    except BaseException:
+        reader.close()
+        raise
     finally:
         os.close(wfd)
-    return pid
-
-
-def _read_slice(src, path, i: int) -> bytes:
-    """Slice i from its worker's pipe; a short read means the worker died."""
-    head = src.read(8)
-    if len(head) == 8:
-        size = int.from_bytes(head, "little")
-        chunk = src.read(size)
-        if len(chunk) == size:
-            return chunk
-    raise RuntimeError(f"{path}: a formatting worker stopped before slice {i}")
+    return pid, reader
 
 
 def write_field_csv(field: Field, path) -> str:
@@ -465,14 +402,8 @@ def write_field_csv(field: Field, path) -> str:
 
     See the module docstring for the format.  Each axis's coordinates are
     formatted once, and each slice of the leading axis through one ``%``
-    template whose values format_g17 has turned into text.  A field of at
-    least 2 * PARALLEL_MIN_VALUES values forks up to one worker per CPU (see
-    _worker_cpus); worker w of n formats slices w, w+n, ... and the caller
-    writes and hashes them in order, so the bytes do not depend on n.  A
-    worker that stops early raises ``RuntimeError``, and no worker outlives
-    the call.  The workers only format strings and write to their pipes, so
-    they take no lock that another thread of the caller, such as a BLAS
-    pool, may have held at the fork.
+    template whose values format_g17 has turned into text; the calling
+    process formats, hashes and writes the slices in order.
     """
     columns = [format_g17(field.grid.axis_coords(a)).tolist() if a in field.axes else [b""]
                for a in _AXES]
@@ -480,29 +411,14 @@ def write_field_csv(field: Field, path) -> str:
     # the rows of one slice, each after its leading coordinate: ",<cols>,%s\n"
     tails = [b"".join(b"," + c for c in combo) + b",%s\n"
              for combo in itertools.product(*columns[lead + 1:])]
-    n_slices = len(columns[lead])
-    layout = (lead, columns[lead], tails, field.values.reshape(n_slices, len(tails)))
-    cpus = _worker_cpus(n_slices, field.values.size)
-    pipes, pids = [], []
-    try:
-        # fork before the file is opened, so that no worker holds it
-        for w, cpu in enumerate(cpus):
-            slices = range(w, n_slices, len(cpus))
-            pids.append(_fork_child(lambda out: _send_slices(out, cpu, slices, *layout), pipes))
-        chunks = ((_read_slice(pipes[i % len(pipes)], path, i) for i in range(n_slices))
-                  if pipes else _format_slices(range(n_slices), *layout))
-        header = (_HEADER + "\n").encode()
-        digest = hashlib.sha256(header)
-        with open(path, "wb") as fh:
-            fh.write(header)
-            for chunk in chunks:
-                fh.write(chunk)
-                digest.update(chunk)
-    finally:
-        for p in pipes:
-            p.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
+    values = field.values.reshape(len(columns[lead]), len(tails))
+    header = (_HEADER + "\n").encode()
+    digest = hashlib.sha256(header)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for chunk in _format_slices(lead, columns[lead], tails, values):
+            fh.write(chunk)
+            digest.update(chunk)
     return digest.hexdigest()
 
 
@@ -518,32 +434,30 @@ class FieldCsvWrite:
     """``write_field_csv(field, path)`` in a forked child, so that the
     caller can compute while the file is written.
 
-    The child runs write_field_csv unchanged, formatting workers included,
-    and sends back the pickled digest or exception; ``digest()`` waits for
-    it, reaps the child and returns the digest or raises the exception.
-    Used as a context manager, it also reaps a child whose digest was
-    never asked for, after the write ends.  Like the workers, the child only
-    formats, hashes and writes, so it takes no lock that a BLAS thread of
-    the caller may have held at the fork.  Without ``os.fork`` the write
-    runs in the constructor.
+    The child runs write_field_csv unchanged and sends back the pickled
+    digest or exception; ``digest()`` waits for it, reaps the child and
+    returns the digest or raises the exception.  Used as a context manager,
+    it also reaps a child whose digest was never asked for, after the write
+    ends.  The child only formats, hashes and writes, so it takes no lock
+    that a BLAS thread of the caller may have held at the fork.  Without
+    ``os.fork`` the write runs in the constructor.
     """
 
     def __init__(self, field: Field, path):
         self._path = path
-        self._pipes: list = []
         self._pid = None
         if hasattr(os, "fork"):
-            self._pid = _fork_child(
-                lambda out: out.write(pickle.dumps(_write_outcome(field, path))), self._pipes)
+            self._pid, self._reader = _fork_child(
+                lambda out: out.write(pickle.dumps(_write_outcome(field, path))))
         else:
             self._outcome = _write_outcome(field, path)
 
     def _reap(self) -> bytes:
         """What the child sent, after it has exited."""
         try:
-            return self._pipes[0].read()
+            return self._reader.read()
         finally:
-            self._pipes[0].close()
+            self._reader.close()
             os.waitpid(self._pid, 0)
             self._pid = None
 

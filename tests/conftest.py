@@ -105,24 +105,22 @@ def full_field(grid: Grid3, axes: tuple[str, ...], value: float) -> Field:
     return Field(grid, axes, np.full(shape, float(value)))
 
 
-def fork_csv_workers(monkeypatch, cpus: int) -> list:
-    """Make write_field_csv fork for any field, on `cpus` CPUs.
-
-    Returns a list that gets one entry per ``os.fork`` call.
-    """
+def count_forks(monkeypatch) -> list:
+    """A list that gets one entry per ``os.fork`` call of this process."""
     forks, real_fork = [], os.fork
 
     def counting_fork():
         forks.append(1)
         return real_fork()
 
-    monkeypatch.setattr(scenario_io, "PARALLEL_MIN_VALUES", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(os, "fork", counting_fork)
     return forks
 
 
-def assert_no_child_left() -> None:
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind, such as a CSV writer."""
+    yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -1,4 +1,4 @@
-"""Acceptance criteria, one test per criterion.
+"""Acceptance criteria, one test per criterion, and a second for criterion 6.
 
 Each test prints a single pass/fail line with its measured quantities and
 tolerances (run with ``pytest tests/test_acceptance.py -v -s`` to see the
@@ -7,8 +7,10 @@ lines for passing tests too).  Tolerances are pinned here and nowhere else.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from sizepop.presets import (
     smooth_default,
     tiny_random,
 )
+from sizepop.scenario_io import scenario_from_dict
 from conftest import (
     evaluate_cost,
     fixed_point_update,
@@ -192,6 +195,41 @@ def test_criterion_6_physical_fidelity():
             f"diffusion {heat['measured']:.1e} <= 1e-12; transport halving ratio "
             f"{ratio:.2f} in [1.6, 2.4]; mass budget: discrete {d_rel:.1e} <= 1e-12, "
             f"physical {p_rel:.1e} <= 1e-3")
+
+
+def _smooth_optimum(n: int):
+    """optimize on scenarios/smooth.json at Ns = Nt = n, Nx = n/2 + 1."""
+    doc = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / "smooth.json")
+                     .read_text())
+    doc["grid"].update(Ns=n, Nt=n, Nx=n // 2 + 1)
+    return optimize(validate_scenario(scenario_from_dict(doc)), compute_diagnostics=False)
+
+
+def test_criterion_6_optimum_under_refinement():
+    # successive-difference ratios, which approach 2 at first order; the data
+    # are incompatible at the (s, t) = (0, 0) corner, so a jump leaves it
+    # along the characteristic and the sup norm of a difference does not
+    # shrink: the mean |difference| is asserted instead
+    reps = {n: _smooth_optimum(n) for n in (10, 20, 40, 80)}
+    J = [reps[n].J_history[-1] for n in (20, 40, 80)]
+    j_ratio = (J[1] - J[0]) / (J[2] - J[1])
+
+    def restricted_gap(n):
+        """Mean |beta_opt(2n) restricted to grid n - beta_opt(n)|: the two
+        child size cells averaged, every other t and x node taken."""
+        fine = reps[2 * n].beta_opt.values
+        coarse = 0.5 * (fine[0::2] + fine[1::2])[:, ::2, ::2]
+        return float(np.abs(coarse - reps[n].beta_opt.values).mean())
+
+    beta_ratio = restricted_gap(20) / restricted_gap(40)
+    iterations = [reps[n].iterations for n in (10, 20, 40)]
+    ok = (all(r.status == "converged" for r in reps.values())
+          and 1.6 <= j_ratio <= 2.4 and 1.4 <= beta_ratio <= 2.4
+          and max(iterations) - min(iterations) <= 1)
+    _report("6 (optimum under refinement)", ok,
+            f"J_opt ratio at n = 20/40/80 {j_ratio:.3f} in [1.6, 2.4]; mean restricted "
+            f"beta_opt ratio {beta_ratio:.3f} in [1.4, 2.4]; iterations at n = 10/20/40 "
+            f"{iterations} differ by <= 1")
 
 
 def test_criterion_7_positivity():

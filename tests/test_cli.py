@@ -26,7 +26,7 @@ from sizepop.scenario_io import (
     read_field_csv,
     write_field_csv,
 )
-from conftest import assert_no_child_left, fork_csv_workers, full_field
+from conftest import count_forks, full_field
 
 MINIMAL = {
     "grid": {"Ns": 6, "Nt": 6, "Nx": 4, "s_f": 1.0, "T": 1.0, "L": 1.0},
@@ -436,7 +436,7 @@ def _raise(err):
     ("beta_opt.csv is a directory", 1, "error: .*Is a directory"),
 ])
 def test_failures_exit_with_one_line(tmp_path, capsys, monkeypatch, case, code, message):
-    forks = fork_csv_workers(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
     (tmp_path / "file").write_text("")
     out = tmp_path / "out"
     argv = ["simulate", "--beta", "0.4"]
@@ -459,7 +459,6 @@ def test_failures_exit_with_one_line(tmp_path, capsys, monkeypatch, case, code, 
         argv = ["optimize"]
     assert main([*argv, "--scenario", _write(tmp_path, MINIMAL), "--out", str(out)]) == code
     assert len(forks) == (argv[0] == "optimize")  # the writer child
-    assert_no_child_left()
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
     assert re.match(message, err), err
@@ -469,12 +468,11 @@ def test_failures_exit_with_one_line(tmp_path, capsys, monkeypatch, case, code, 
 
 def test_optimize_writes_what_the_library_computes(tmp_path, monkeypatch):
     # the CSV is written in a child while the diagnostics run in the command
-    forks = fork_csv_workers(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
     scenario = _write(tmp_path, MINIMAL)
     out = tmp_path / "opt"
     assert main(["optimize", "--scenario", scenario, "--seed", "7", "--out", str(out)]) == 0
-    assert forks
-    assert_no_child_left()
+    assert len(forks) == 1
     report = optimizer.optimize(
         validate_scenario(parse_scenario(scenario)).with_tolerances(seed=7))
     assert report.contraction is not None
@@ -483,36 +481,27 @@ def test_optimize_writes_what_the_library_computes(tmp_path, monkeypatch):
     assert digest == write_field_csv(report.beta_opt, tmp_path / "beta_opt.csv")
 
 
-def test_failed_write_after_fork_is_usage_error(tmp_path, capsys, monkeypatch):
-    # the caller's own write fails after the workers started: still OSError
-    forks = fork_csv_workers(monkeypatch, 2)
+def test_failed_csv_write_is_usage_error(tmp_path, capsys, monkeypatch):
+    # simulate writes p.csv in its own process, which forks nothing
+    forks = count_forks(monkeypatch)
     out = tmp_path / "out"
     (out / "p.csv").mkdir(parents=True)
     assert main(["simulate", "--scenario", _write(tmp_path, MINIMAL), "--beta", "0.4",
                  "--out", str(out)]) == 1
-    assert forks
-    assert_no_child_left()
+    assert not forks
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
     assert re.match("error: .*Is a directory", err), err
 
 
-# a worker writes to the real stderr, which only a separate process captures
-DEAD_WORKER = """
+# a separate process captures the real stderr, the writer child's included,
+# and checks that no child outlives the command
+DEAD_WRITER = """
 import os, sys
 from sizepop import scenario_io
 from sizepop.cli import main
 
-scenario_io.PARALLEL_MIN_VALUES = 1
-os.sched_getaffinity = lambda pid: {0, 1}
-format_slice = scenario_io._format_slice
-
-def fail_on_slice_one(i, *layout):
-    if i == 1:
-        raise RuntimeError("slice 1")
-    return format_slice(i, *layout)
-
-scenario_io._format_slice = fail_on_slice_one
+scenario_io._write_outcome = lambda field, path: os._exit(1)
 code = main(sys.argv[1:])
 try:
     os.waitpid(-1, os.WNOHANG)
@@ -523,24 +512,21 @@ sys.exit(code)
 """
 
 
-def test_dead_worker_is_internal_error(tmp_path):
-    # optimize's workers are forked by the child that writes beta_opt.csv
-    for argv in (["simulate", "--beta", "0.4"], ["optimize"]):
-        out = tmp_path / argv[0]
-        done = _run_python("-c", DEAD_WORKER, *argv, "--scenario", _write(tmp_path, MINIMAL),
-                           "--out", str(out))
-        assert done.returncode == 4
-        assert len(done.stderr.splitlines()) == 1, done.stderr
-        assert done.stderr.startswith("internal error: RuntimeError: "), done.stderr
-        assert "formatting worker stopped before slice 1" in done.stderr
-        assert not (out / "manifest.json").exists()
+def test_dead_writer_is_internal_error(tmp_path):
+    out = tmp_path / "out"
+    done = _run_python("-c", DEAD_WRITER, "optimize", "--scenario", _write(tmp_path, MINIMAL),
+                       "--out", str(out))
+    assert done.returncode == 4
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+    assert done.stderr.startswith("internal error: RuntimeError: "), done.stderr
+    assert done.stderr.rstrip().endswith("the CSV writer stopped early"), done.stderr
+    assert not (out / "manifest.json").exists()
 
 
 def test_optimize_warns_of_nothing_in_dev_mode(tmp_path):
     # -X dev reports a pipe or file left unclosed, in this process or in a
     # forked one, as a ResourceWarning, which -W error turns into a message
-    script = ("import sys; from sizepop import scenario_io; from sizepop.cli import main; "
-              "scenario_io.PARALLEL_MIN_VALUES = 1; sys.exit(main(sys.argv[1:]))")
+    script = "import sys; from sizepop.cli import main; sys.exit(main(sys.argv[1:]))"
     done = _run_python("-X", "dev", "-W", "error", "-c", script, "optimize",
                        "--scenario", _write(tmp_path, MINIMAL), "--out", str(tmp_path / "o"))
     assert done.returncode == 0, done.stderr

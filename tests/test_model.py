@@ -37,8 +37,7 @@ from sizepop.scenario_io import (
     write_field_csv,
 )
 from conftest import (
-    assert_no_child_left,
-    fork_csv_workers,
+    count_forks,
     full_field,
     scenario_of,
     tabulated_scenario,
@@ -186,50 +185,6 @@ def test_field_csv_matches_reference_writer(tmp_path, axes, rng):
     assert np.array_equal(back.values.view(np.uint64), fld.values.view(np.uint64))
 
 
-# (3, 4, 5): 3 or 5 slices, which 2 workers do not divide and 3 divide
-# once; (2, 1, 7): a size- or time-led field has 2 slices, fewer than 3 CPUs
-@pytest.mark.parametrize("dims", [(3, 4, 5), (2, 1, 7)])
-@pytest.mark.parametrize("cpus", [2, 3])
-@pytest.mark.parametrize("axes", ALL_AXES)
-def test_forked_field_csv_matches_reference_writer(tmp_path, monkeypatch, axes, cpus, dims):
-    grid = Grid3(Ns=dims[0], Nt=dims[1], Nx=dims[2], s_f=1.0, T=0.7, L=1.3)
-    fld = _special_field(grid, axes, np.random.default_rng(cpus))
-    forks = fork_csv_workers(monkeypatch, cpus)
-    path = tmp_path / "field.csv"
-    digest = write_field_csv(fld, path)
-    assert len(forks) == min(cpus, grid.axis_len(axes[0]))
-    assert_no_child_left()
-    assert path.read_text() == reference_field_csv(fld)
-    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def test_small_field_forks_no_worker(tmp_path, monkeypatch):
-    grid = Grid3(Ns=16, Nt=15, Nx=16, s_f=1.0, T=0.7, L=1.3)
-    fld = _special_field(grid, STX, np.random.default_rng(1))
-    assert fld.values.size < 2 * scenario_io.PARALLEL_MIN_VALUES
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a small field"))
-    path = tmp_path / "field.csv"
-    digest = write_field_csv(fld, path)
-    assert path.read_text() == reference_field_csv(fld)
-    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def test_dead_worker_fails_the_write(tmp_path, monkeypatch):
-    grid = Grid3(Ns=5, Nt=4, Nx=3, s_f=1.0, T=0.7, L=1.3)
-    fork_csv_workers(monkeypatch, 2)
-    format_slice = scenario_io._format_slice
-
-    def fail_on_slice_one(i, *layout):
-        if i == 1:
-            raise RuntimeError("slice 1")
-        return format_slice(i, *layout)
-
-    monkeypatch.setattr(scenario_io, "_format_slice", fail_on_slice_one)
-    with pytest.raises(RuntimeError, match="formatting worker stopped before slice 1"):
-        write_field_csv(full_field(grid, STX, 0.5), tmp_path / "field.csv")
-    assert_no_child_left()
-
-
 def _printf(values) -> list[bytes]:
     return [b"%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
 
@@ -262,19 +217,16 @@ def test_format_g17_matches_printf_on_random_bit_patterns():
 
 
 def test_field_csv_formatted_in_blocks_matches_reference_writer(tmp_path, monkeypatch):
-    # 7 slices of 5 values, 2 slices to a block; the workers' blocks take
-    # every other slice
+    # 7 slices of 5 values, 2 slices to a block
     grid = Grid3(Ns=3, Nt=6, Nx=5, s_f=1.0, T=0.7, L=1.3)
     rng = np.random.default_rng(6)
     values = rng.uniform(-1.0, 1.0, (7, 5)) * 10.0 ** rng.uniform(-5.0, 18.0, (7, 5))
     values[3, 1:4] = [0.0, np.nan, 0.5]
     fld = Field(grid, ("time", "space"), values)
     monkeypatch.setattr(scenario_io, "_BLOCK_VALUES", 12)
-    for cpus in (1, 2):
-        fork_csv_workers(monkeypatch, cpus)
-        path = tmp_path / f"field{cpus}.csv"
-        write_field_csv(fld, path)
-        assert path.read_text() == reference_field_csv(fld)
+    path = tmp_path / "field.csv"
+    write_field_csv(fld, path)
+    assert path.read_text() == reference_field_csv(fld)
 
 
 def test_one_process_write_holds_one_block_of_texts(tmp_path, monkeypatch):
@@ -282,30 +234,30 @@ def test_one_process_write_holds_one_block_of_texts(tmp_path, monkeypatch):
     # would take about twice the file's size
     grid = Grid3(Ns=64, Nt=63, Nx=32, s_f=1.0, T=1.0, L=1.0)
     fld = Field(grid, STX, np.random.default_rng(5).random((64, 64, 32)))
-    monkeypatch.setattr(scenario_io, "_worker_cpus", lambda n_slices, n_values: [])
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("write_field_csv forked"))
     path = tmp_path / "field.csv"
     tracemalloc.start()
     try:
-        write_field_csv(fld, path)
+        digest = write_field_csv(fld, path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size
+    assert path.read_text() == reference_field_csv(fld)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("can_fork", [True, False])
 def test_field_csv_written_in_a_child_matches_reference_writer(tmp_path, monkeypatch, can_fork):
     grid = Grid3(Ns=3, Nt=4, Nx=5, s_f=1.0, T=0.7, L=1.3)
     fld = _special_field(grid, STX, np.random.default_rng(4))
-    forks = fork_csv_workers(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
     if not can_fork:
         monkeypatch.delattr(os, "fork")  # the write runs in the calling process
     path = tmp_path / "field.csv"
     with FieldCsvWrite(fld, path) as write:
         digest = write.digest()
-    # one writer child here; it forks the formatting workers itself
-    assert len(forks) == can_fork
-    assert_no_child_left()
+    assert len(forks) == can_fork  # the writer child
     assert path.read_text() == reference_field_csv(fld)
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -316,7 +268,6 @@ def test_writer_child_that_dies_fails_the_write(tmp_path, monkeypatch):
     with FieldCsvWrite(full_field(grid, STX, 0.5), tmp_path / "field.csv") as write:
         with pytest.raises(RuntimeError, match="the CSV writer stopped early"):
             write.digest()
-    assert_no_child_left()
 
 
 class TestFieldCsvRejections:
