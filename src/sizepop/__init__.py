@@ -6,11 +6,11 @@ from .adjoint import (
     duality_residual,
     march_adjoint,
     solve_adjoint,
-    solve_sensitivity,
 )
 from .forward import (
     StateSolution,
     StepContext,
+    march_sensitivity,
     march_states,
     solve_state,
     total_population,

@@ -5,12 +5,12 @@ backward from a zero terminal condition with the running cost source, rather
 than a separate discretization of a continuous dual system.  Both directions
 use the scenario's one StepContext, built once per validated scenario and
 read from `vsc.step_context`: the adjoint step applies the transposed
-diffusion solve, the reaction factor and T_j.T, and the sensitivity march
+diffusion solve, the reaction factor and T_j.T, and forward.march_sensitivity
 advances through the same primitive as the state march.  march_adjoint
 hands over one time level at a time and reads only the control, because
-the cost is linear in the state; solve_adjoint stores every level.  Neither
-solve_adjoint nor solve_sensitivity takes a control: both use `state.beta`,
-the control the state was solved with.  That choice buys two
+the cost is linear in the state; solve_adjoint stores every level.  Every
+solver takes the control itself, so one control drives the state, the
+sensitivity and the adjoint marches alike, and that buys two
 machine-precision identities the optimizer relies on:
 
   * one-step duality  <forward_step(u), v> = <u, adjoint_step(v)>,
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import StateSolution, _check_level, level_slice
+from .forward import _check_level, level_slice, march_sensitivity
 from .model import Field, ValidatedScenario, control_array
 
 
@@ -48,11 +48,6 @@ class AdjointSolution:
 
     phi: Field
     phi_at_zero: Field
-
-
-def _check_state_match(vsc: ValidatedScenario, state: StateSolution) -> None:
-    if state.p.grid != vsc.grid:
-        raise ValueError("state was solved on a different grid")
 
 
 def march_adjoint(vsc: ValidatedScenario, betas):
@@ -98,17 +93,17 @@ def march_adjoint(vsc: ValidatedScenario, betas):
         yield j, phi_j, phi0_j
 
 
-def solve_adjoint(vsc: ValidatedScenario, state: StateSolution) -> AdjointSolution:
-    """The adjoint field and its trace at the control the state was solved
-    with, storing every level of march_adjoint."""
-    _check_state_match(vsc, state)
+def solve_adjoint(vsc: ValidatedScenario, beta) -> AdjointSolution:
+    """The adjoint field and its trace at the control `beta`, storing every
+    level of march_adjoint."""
     grid = vsc.grid
+    beta_arr = control_array(grid, beta)
     # the march builds the step context on first use; building it before the
     # output exists keeps the build's peak and the output apart
     vsc.step_context
     phi = np.empty((grid.Ns, grid.Nt + 1, grid.Nx))
     phi0 = np.empty((grid.Nt + 1, grid.Nx))
-    for j, phi_j, phi0_j in march_adjoint(vsc, state.beta):
+    for j, phi_j, phi0_j in march_adjoint(vsc, beta_arr):
         phi[:, j, :] = phi_j
         phi0[j] = phi0_j
     return AdjointSolution(
@@ -117,45 +112,27 @@ def solve_adjoint(vsc: ValidatedScenario, state: StateSolution) -> AdjointSoluti
     )
 
 
-def solve_sensitivity(vsc: ValidatedScenario, state: StateSolution, delta) -> Field:
-    """Forward march of the linearized system in the direction delta.
-
-    Same transport, reaction and diffusion as the state solve, zero initial
-    data, and the newborn boundary picks up the extra birth term
-    integral(r * delta * p) ds / gamma(0,t) alongside the usual
-    integral(r * beta * z).  In growth cases without a renewal boundary the
-    control cannot influence the state and z stays identically zero.
-    Returns z; the control is the one the state was solved with.
-    """
-    _check_state_match(vsc, state)
-    ctx = vsc.step_context
-    grid = vsc.grid
-    delta_arr = control_array(grid, delta)
-
-    p = state.p.values
-    z = np.zeros((grid.Ns, grid.Nt + 1, grid.Nx))
-    for j in range(grid.Nt):
-        b = (ctx.births(j, state.beta[:, j, :], z[:, j, :])
-             + ctx.births(j, delta_arr[:, j, :], p[:, j, :]))
-        z[:, j + 1, :] = ctx._advance(j, z[:, j, :], b)
-        _check_level(z[:, j + 1, :], "sensitivity", j + 1)
-    return Field(grid, ("size", "time", "space"), z)
-
-
-def duality_residual(vsc: ValidatedScenario, state: StateSolution,
-                     adjoint: AdjointSolution, delta) -> float:
-    """Relative defect of the sensitivity/adjoint pairing.
+def duality_residual(vsc: ValidatedScenario, beta, delta) -> float:
+    """Relative defect of the sensitivity/adjoint pairing at the control
+    `beta` in the direction `delta`.
 
     Compares -c * integral(z) against integral(delta * r * p * phi0) under
     the discrete volume quadrature; with the transposed adjoint both sides
-    agree to rounding error.
+    agree to rounding error.  The adjoint march keeps only its trace phi0,
+    shape (Nt+1, Nx), and the sensitivity march adds each level's share to
+    both sides, so no full field is held.
     """
     grid = vsc.grid
+    beta_arr = control_array(grid, beta)
     delta_arr = control_array(grid, delta)
-    z = solve_sensitivity(vsc, state, delta_arr).values
+    phi0 = np.empty((grid.Nt + 1, grid.Nx))
+    for j, phi_j, phi0_j in march_adjoint(vsc, beta_arr):
+        phi0[j] = phi0_j
+        del phi_j
     w = grid.volume_weights()
-    lhs = -vsc.cost.c * float((w * z).sum())
-    rhs = float((w * delta_arr * vsc.r_grid * state.p.values
-                 * adjoint.phi_at_zero.values[None, :, :]).sum())
+    z_sum = rhs = 0.0
+    for j, p_j, z_j in march_sensitivity(vsc, beta_arr, delta_arr):
+        z_sum += float((w[j] * z_j).sum())
+        rhs += float((w[j] * delta_arr[:, j, :] * vsc.r_grid[:, j, :] * p_j * phi0[j]).sum())
+    lhs = -vsc.cost.c * z_sum
     return abs(lhs - rhs) / max(1.0, abs(rhs))
-

@@ -169,7 +169,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_adjoint(args) -> int:
     vsc = _load_validated(args.scenario)
-    adj = solve_adjoint(vsc, solve_state(vsc, _resolve_beta(args.beta, vsc)))
+    adj = solve_adjoint(vsc, _resolve_beta(args.beta, vsc))
     out = _write_outputs(args, {"phi.csv": adj.phi, "phi0.csv": adj.phi_at_zero}, vsc)
     print(f"adjoint: wrote phi.csv, phi0.csv to {out}")
     return EXIT_OK
@@ -180,7 +180,7 @@ def _cmd_optimize(args) -> int:
     overrides = {"max_iters": args.max_iters, "fixed_point_tol": args.tol,
                  "relax_omega": args.relax, "seed": args.seed}
     vsc = vsc.with_tolerances(**{k: v for k, v in overrides.items() if v is not None})
-    report = optimize(vsc, compute_diagnostics=False)
+    report = optimize(vsc)
     # written meanwhile, the CSV keeps busy the CPU the diagnostics leave idle
     with FieldCsvWrite(report.beta_opt, _output_dir(args) / "beta_opt.csv") as beta_csv:
         report = dataclasses.replace(report,

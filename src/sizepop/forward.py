@@ -70,13 +70,16 @@ row alike.  Every member's arithmetic is the same operation for operation
 as a single march, so results are bit-identical to K separate solves; a
 slice without the leading axis is the same code with no batch dimension.
 
-march_states marches the state forward and hands over each time level as
-it is reached; adjoint.march_adjoint does the same backward.  A caller that
-needs the whole field stores the levels (solve_state, solve_adjoint); the
-optimizer's sweep, its cost of a batch of controls and its contraction
-diagnostics keep only what they reduce each level to, so they hold no full
-state or adjoint field.  A batch given as separate controls is stacked one
-level slice per step, never as a (K, Ns, Nt+1, Nx) copy.
+Every solver takes the control, never a stored state.  march_states
+marches the state forward and hands over each time level as it is reached;
+march_sensitivity steps the sensitivity in a control direction in lockstep
+with it, and adjoint.march_adjoint marches the transpose backward.  A caller
+that needs the whole field stores the levels (solve_state, solve_adjoint);
+the optimizer's sweep, its cost of a batch of controls, its contraction
+diagnostics and the duality residual keep only what they reduce each level
+to, so they hold no full state, sensitivity or adjoint field.  A batch given
+as separate controls is stacked one level slice per step, never as a
+(K, Ns, Nt+1, Nx) copy.
 """
 
 from __future__ import annotations
@@ -434,13 +437,10 @@ class StepContext:
 
 @dataclass(frozen=True)
 class StateSolution:
-    """Density over the full grid plus the recorded newborn boundary trace.
-    Keeps the control it was solved with, which the adjoint and sensitivity
-    solves read."""
+    """Density over the full grid plus the recorded newborn boundary trace."""
 
     p: Field
     newborn_density: Field
-    beta: np.ndarray
 
 
 def total_population(p: Field) -> np.ndarray:
@@ -499,6 +499,33 @@ def march_states(vsc: ValidatedScenario, betas):
     yield nt, p_j, b
 
 
+def march_sensitivity(vsc: ValidatedScenario, beta, delta):
+    """March the sensitivity z of the state to the control `beta` in the
+    direction `delta`, in lockstep with march_states.
+
+    The linearized system has the state's transport, reaction and diffusion,
+    zero initial data, and a newborn boundary that picks up the extra birth
+    term integral(r * delta * p) ds / gamma(0,t) alongside the usual
+    integral(r * beta * z).  In growth cases without a renewal boundary the
+    control cannot influence the state and z stays identically zero.
+    Yields (j, p_j, z_j) for j = 0, ..., Nt, each slice of shape (Ns, Nx);
+    level j is handed over once the state's level j+1 is found finite, and
+    the first non-finite sensitivity level aborts the march before it is
+    handed over.
+    """
+    ctx = vsc.step_context
+    grid = vsc.grid
+    beta_arr = control_array(grid, beta)
+    delta_arr = control_array(grid, delta)
+    z_j = np.zeros((grid.Ns, grid.Nx))
+    for j, p_j, _b_j in march_states(vsc, beta_arr):
+        yield j, p_j, z_j
+        if j < grid.Nt:
+            b = ctx.births(j, beta_arr[:, j, :], z_j) + ctx.births(j, delta_arr[:, j, :], p_j)
+            z_j = ctx._advance(j, z_j, b)
+            _check_level(z_j, "sensitivity", j + 1)
+
+
 def solve_state(vsc: ValidatedScenario, beta) -> StateSolution:
     """March the density from the initial slice to the horizon, storing
     every level of march_states."""
@@ -512,10 +539,7 @@ def solve_state(vsc: ValidatedScenario, beta) -> StateSolution:
     for j, p_j, b_j in march_states(vsc, beta_arr):
         p[:, j, :] = p_j
         newborn[j] = b_j
-    beta_frozen = beta_arr.copy()
-    beta_frozen.flags.writeable = False
     return StateSolution(
         p=Field(grid, ("size", "time", "space"), p),
         newborn_density=Field(grid, ("time", "space"), newborn),
-        beta=beta_frozen,
     )

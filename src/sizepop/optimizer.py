@@ -105,16 +105,17 @@ def evaluate_costs(vsc: ValidatedScenario, betas) -> np.ndarray:
     return J
 
 
-def gradient_field(state: StateSolution, adjoint: AdjointSolution,
-                   vsc: ValidatedScenario) -> Field:
-    """Pointwise derivative density of the cost with respect to the control.
+def gradient_field(vsc: ValidatedScenario, beta, state: StateSolution,
+                   adjoint: AdjointSolution) -> Field:
+    """Pointwise derivative density of the cost with respect to the control
+    `beta`, from the state and adjoint solved at that same control.
 
     g = -/+ rho*beta - r*p*phi0/c (sign by cost variant).  Pairing g with a
     direction under the volume quadrature reproduces the derivative of the
     discrete cost exactly, because phi0 comes from the transposed scheme.
     """
     cost = vsc.cost
-    g = (cost.control_sign * cost.rho * state.beta
+    g = (cost.control_sign * cost.rho * control_array(vsc.grid, beta)
          - vsc.r_grid * state.p.values * adjoint.phi_at_zero.values[None, :, :] / cost.c)
     return Field(vsc.grid, ("size", "time", "space"), g)
 
@@ -139,8 +140,7 @@ def _distinct_values(view: np.ndarray) -> np.ndarray:
     return view[tuple(slice(None, 1) if step == 0 else slice(None) for step in view.strides)]
 
 
-def optimize(vsc: ValidatedScenario, beta0=None,
-             compute_diagnostics: bool = True) -> OptimizationReport:
+def optimize(vsc: ValidatedScenario, beta0=None) -> OptimizationReport:
     """Adjoint-first sweep with relaxed projected updates.
 
     Iterates beta <- (1-omega)*beta + omega*F(update), clipped onto the box
@@ -149,8 +149,9 @@ def optimize(vsc: ValidatedScenario, beta0=None,
     tolerance.  Each iteration marches the adjoint and keeps its trace,
     then marches the state and updates the control level by level.  Ten
     consecutive residual increases are reported as divergence.  The report
-    carries the cost history, the update residuals and, unless disabled,
-    the contraction diagnostics of diagnose_contraction at the optimum.
+    carries the cost history and the update residuals; its contraction
+    diagnostics are None, and diagnose_contraction computes them at the
+    optimum.
     """
     grid = vsc.grid
     tol = vsc.tolerances.fixed_point_tol
@@ -205,7 +206,7 @@ def optimize(vsc: ValidatedScenario, beta0=None,
         beta_opt=beta_opt,
         J_history=np.asarray(J_history),
         update_residuals=np.asarray(residuals),
-        contraction=diagnose_contraction(vsc, beta_opt) if compute_diagnostics else None,
+        contraction=None,
         status=status,
         iterations=len(residuals),
     )

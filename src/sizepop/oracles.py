@@ -170,10 +170,7 @@ def oracle_transpose_duality(seed: int = 0) -> dict:
         # bound |<Au, v>| <= |Au| |v| rather than by |lhs| itself
         scale = float(np.linalg.norm(au) * np.linalg.norm(v))
         worst = max(worst, abs(lhs - rhs) / max(scale, 1e-300))
-    state = solve_state(vsc, beta)
-    adj = solve_adjoint(vsc, state)
-    delta = rng.standard_normal(beta.shape)
-    resid = duality_residual(vsc, state, adj, delta)
+    resid = duality_residual(vsc, beta, rng.standard_normal(beta.shape))
     ok = worst <= 1e-12 and resid <= 1e-10
     return _result("transpose_duality", ok, max(worst, resid), 1e-12,
                    f"pairing {worst:.2e} (tol 1e-12), sensitivity identity {resid:.2e} (tol 1e-10)")
@@ -188,9 +185,7 @@ def gradient_check(vsc: ValidatedScenario, n_directions: int = 5, seed: int = 0)
         raise ValueError(f"gradient check: directions >= 1 (got {n_directions})")
     rng = np.random.default_rng(seed)
     beta = vsc.phi_l_grid + 0.35 * (vsc.phi_m_grid - vsc.phi_l_grid)
-    state = solve_state(vsc, beta)
-    adj = solve_adjoint(vsc, state)
-    g = gradient_field(state, adj, vsc).values
+    g = gradient_field(vsc, beta, solve_state(vsc, beta), solve_adjoint(vsc, beta)).values
     w = vsc.grid.volume_weights()
     eps = 1e-6 * max(float(np.abs(beta).max()), 1.0)
     deltas = np.stack([rng.standard_normal(beta.shape) for _ in range(n_directions)])
@@ -264,7 +259,7 @@ def brute_force_search(vsc: ValidatedScenario, n_levels: int = 21):
 def oracle_brute_force_optimum() -> dict:
     vsc = presets.brute_force_instance()
     best_J, _, sens = brute_force_search(vsc, n_levels=21)
-    rep = optimize(vsc, compute_diagnostics=False)
+    rep = optimize(vsc)
     gap = rep.J_history[-1] - best_J
     ok = rep.status == "converged" and gap <= sens + 1e-12
     return _result("brute_force_optimum", ok, gap, sens,

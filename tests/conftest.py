@@ -12,7 +12,7 @@ import pytest
 from sizepop import rates as rate_lib
 from sizepop import scenario_io
 from sizepop.adjoint import AdjointSolution
-from sizepop.forward import StateSolution
+from sizepop.forward import StateSolution, _check_level, solve_state
 from sizepop.model import (
     CostParams,
     Field,
@@ -77,17 +77,36 @@ def unit_scenario(grid=None, *, gamma=1.0, mu=0.0, r=0.5, f=0.0, C=0.0, p0=1.0,
                                          k=k, bounds=(phi_l, phi_m), cost=cost, tol=tol))
 
 
-def evaluate_cost(state: StateSolution, cost: CostParams) -> float:
+def evaluate_cost(state: StateSolution, beta, cost: CostParams) -> float:
     """J = integral of [p -/+ rho/2 * beta^2] under the volume quadrature,
-    at the control the state was solved with, summed level by level as the
+    for the state solved at the control `beta`, summed level by level as the
     sweep sums it: the stored-field form of the cost, which the tests hold
     the sweep's J_history and evaluate_costs to, bit for bit."""
     grid = state.p.grid
+    beta = control_array(grid, beta)
     w = grid.volume_weights()
     J = 0.0
     for j in range(grid.Nt + 1):
-        J += float(_level_cost(w[j], state.p.values[:, j, :], state.beta[:, j, :], cost))
+        J += float(_level_cost(w[j], state.p.values[:, j, :], beta[:, j, :], cost))
     return J
+
+
+def stored_sensitivity(vsc: ValidatedScenario, beta, delta) -> np.ndarray:
+    """The sensitivity z, shape (Ns, Nt+1, Nx), marched on a stored state
+    into a stored field: the stored form of forward.march_sensitivity,
+    which the tests hold its levels to, bit for bit."""
+    ctx = vsc.step_context
+    grid = vsc.grid
+    beta = control_array(grid, beta)
+    delta = control_array(grid, delta)
+    p = solve_state(vsc, beta).p.values
+    z = np.zeros((grid.Ns, grid.Nt + 1, grid.Nx))
+    for j in range(grid.Nt):
+        b = (ctx.births(j, beta[:, j, :], z[:, j, :])
+             + ctx.births(j, delta[:, j, :], p[:, j, :]))
+        z[:, j + 1, :] = ctx._advance(j, z[:, j, :], b)
+        _check_level(z[:, j + 1, :], "sensitivity", j + 1)
+    return z
 
 
 def fixed_point_update(state: StateSolution, adjoint: AdjointSolution,

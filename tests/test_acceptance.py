@@ -64,9 +64,7 @@ def test_criterion_1_discrete_duality():
         lhs = float((ctx.apply_step_linear(j, beta[:, j, :], u) * v).sum())
         rhs = float((u * ctx.apply_step_adjoint(j, beta[:, j, :], v)[0]).sum())
         worst = max(worst, abs(lhs - rhs) / (np.linalg.norm(u) * np.linalg.norm(v)))
-    state = sp.solve_state(vsc, beta)
-    adj = solve_adjoint(vsc, state)
-    resid = duality_residual(vsc, state, adj, rng.standard_normal(beta.shape))
+    resid = duality_residual(vsc, beta, rng.standard_normal(beta.shape))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12 and resid <= 1e-10 and elapsed < 1.0
     _report("1 (discrete duality)", ok,
@@ -79,9 +77,7 @@ def test_criterion_2_gradient_exactness():
     grid = vsc.grid
     rng = np.random.default_rng(2)
     beta = vsc.phi_l_grid + 0.35 * (vsc.phi_m_grid - vsc.phi_l_grid)
-    state = sp.solve_state(vsc, beta)
-    adj = solve_adjoint(vsc, state)
-    g = gradient_field(state, adj, vsc).values
+    g = gradient_field(vsc, beta, sp.solve_state(vsc, beta), solve_adjoint(vsc, beta)).values
     w = grid.volume_weights()
     eps = 1e-6 * max(float(np.abs(beta).max()), 1.0)
     worst = 0.0
@@ -90,8 +86,8 @@ def test_criterion_2_gradient_exactness():
         delta = probe - beta  # feasible direction
         analytic = float((w * g * delta).sum())
         bp, bm = beta + eps * delta, beta - eps * delta
-        jp = evaluate_cost(sp.solve_state(vsc, bp), vsc.cost)
-        jm = evaluate_cost(sp.solve_state(vsc, bm), vsc.cost)
+        jp = evaluate_cost(sp.solve_state(vsc, bp), bp, vsc.cost)
+        jm = evaluate_cost(sp.solve_state(vsc, bm), bm, vsc.cost)
         fd = (jp - jm) / (2 * eps)
         worst = max(worst, abs(analytic - fd) / abs(fd))
     elapsed = time.perf_counter() - started
@@ -103,15 +99,15 @@ def test_criterion_2_gradient_exactness():
 def test_criterion_3_optimality_condition():
     started = time.perf_counter()
     vsc = smooth_default(20, 20, 10).with_tolerances(fixed_point_tol=1e-9, max_iters=300)
-    rep = optimize(vsc, compute_diagnostics=False)
+    rep = optimize(vsc)
     assert rep.status == "converged"
     beta = rep.beta_opt.values
     state = sp.solve_state(vsc, beta)
-    adj = solve_adjoint(vsc, state)
+    adj = solve_adjoint(vsc, beta)
     target = fixed_point_update(state, adj, vsc).values
     fp_resid = float(np.abs(beta - target).max())
 
-    g = gradient_field(state, adj, vsc).values
+    g = gradient_field(vsc, beta, state, adj).values
     grid = vsc.grid
     r_p_phi = np.abs(vsc.r_grid * state.p.values
                      * adj.phi_at_zero.values[None, :, :] / vsc.cost.c)
@@ -142,8 +138,8 @@ def test_criterion_4_uniqueness_under_contraction():
     diag = contraction_diagnostics(
         vsc, [vsc.phi_l_grid, vsc.phi_m_grid,
               0.5 * (vsc.phi_l_grid + vsc.phi_m_grid)])
-    r_lo = optimize(vsc, beta0=vsc.phi_l_grid, compute_diagnostics=False)
-    r_hi = optimize(vsc, beta0=vsc.phi_m_grid, compute_diagnostics=False)
+    r_lo = optimize(vsc, beta0=vsc.phi_l_grid)
+    r_hi = optimize(vsc, beta0=vsc.phi_m_grid)
     gap = float(np.abs(r_lo.beta_opt.values - r_hi.beta_opt.values).max())
     rates_ok = True
     worst_rate = 0.0
@@ -166,7 +162,7 @@ def test_criterion_5_brute_force_optimum():
     started = time.perf_counter()
     vsc = brute_force_instance()
     best_J, _, quant_sens = brute_force_search(vsc, n_levels=21)
-    rep = optimize(vsc, compute_diagnostics=False)
+    rep = optimize(vsc)
     gap = float(rep.J_history[-1] - best_J)
     elapsed = time.perf_counter() - started
     ok = rep.status == "converged" and gap <= quant_sens + 1e-12 and elapsed < 120.0
@@ -202,7 +198,7 @@ def _smooth_optimum(n: int):
     doc = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / "smooth.json")
                      .read_text())
     doc["grid"].update(Ns=n, Nt=n, Nx=n // 2 + 1)
-    return optimize(validate_scenario(scenario_from_dict(doc)), compute_diagnostics=False)
+    return optimize(validate_scenario(scenario_from_dict(doc)))
 
 
 def test_criterion_6_optimum_under_refinement():
@@ -286,8 +282,8 @@ def _lipschitz_ratios(level: int, n_pairs: int, seed: int):
         db = float(np.abs(a1 - a2).max())
         st1 = sp.solve_state(base, a1)
         st2 = sp.solve_state(base, a2)
-        ad1 = solve_adjoint(base, st1)
-        ad2 = solve_adjoint(base, st2)
+        ad1 = solve_adjoint(base, a1)
+        ad2 = solve_adjoint(base, a2)
         m_state = max(m_state, l1_t(st1.p.values - st2.p.values) / db)
         m_trace = max(m_trace, float(np.abs(ad1.phi_at_zero.values
                                             - ad2.phi_at_zero.values).max()) / db)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -16,9 +17,10 @@ import pytest
 
 from sizepop import cli, optimizer, oracles
 from sizepop.characteristics import RootBracketError
+from sizepop.adjoint import march_adjoint
 from sizepop.cli import main
 from sizepop.forward import StepContext
-from sizepop.model import Grid3, NumericalError, _grid_eval_full, validate_scenario
+from sizepop.model import Field, Grid3, NumericalError, _grid_eval_full, validate_scenario
 from sizepop.oracles import oracle_transpose_duality, run_oracles
 from sizepop.scenario_io import (
     ScenarioFileError,
@@ -143,6 +145,28 @@ class TestSubcommands:
         phi = read_field_csv(out / "phi.csv", grid)
         assert phi.axes == ("size", "time", "space")
         assert np.abs(phi.values[:, -1, :]).max() == 0.0
+
+    def test_adjoint_marches_no_state(self, tmp_path, monkeypatch):
+        # the adjoint reads only the control, so the command steps no state;
+        # a state step would end it as an internal error
+        def no_state_step(self, j, beta_j, p_slice):
+            raise AssertionError("the adjoint command stepped the state")
+
+        monkeypatch.setattr(StepContext, "step", no_state_step)
+        scenario = _write(tmp_path, MINIMAL)
+        out = tmp_path / "adj"
+        assert main(["adjoint", "--scenario", scenario, "--beta", "0.4",
+                     "--out", str(out)]) == 0
+        vsc = validate_scenario(parse_scenario(scenario))
+        grid = vsc.grid
+        phi = np.empty((grid.Ns, grid.Nt + 1, grid.Nx))
+        phi0 = np.empty((grid.Nt + 1, grid.Nx))
+        for j, phi_j, phi0_j in march_adjoint(vsc, np.full(phi.shape, 0.4)):
+            phi[:, j, :], phi0[j] = phi_j, phi0_j
+        for name, field in (("phi.csv", Field(grid, ("size", "time", "space"), phi)),
+                            ("phi0.csv", Field(grid, ("time", "space"), phi0))):
+            write_field_csv(field, tmp_path / name)
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_beta_from_field_file(self, tmp_path):
         scenario = _write(tmp_path, MINIMAL)
@@ -473,8 +497,10 @@ def test_optimize_writes_what_the_library_computes(tmp_path, monkeypatch):
     out = tmp_path / "opt"
     assert main(["optimize", "--scenario", scenario, "--seed", "7", "--out", str(out)]) == 0
     assert len(forks) == 1
-    report = optimizer.optimize(
-        validate_scenario(parse_scenario(scenario)).with_tolerances(seed=7))
+    vsc = validate_scenario(parse_scenario(scenario)).with_tolerances(seed=7)
+    report = optimizer.optimize(vsc)
+    report = dataclasses.replace(
+        report, contraction=optimizer.diagnose_contraction(vsc, report.beta_opt))
     assert report.contraction is not None
     assert (out / "report.json").read_text() == json.dumps(report.to_dict(), indent=2) + "\n"
     digest = json.loads((out / "manifest.json").read_text())["artifacts"]["beta_opt.csv"]
@@ -594,7 +620,7 @@ def test_dense_diffusion_is_the_same_at_one_and_two_blas_threads():
         "from sizepop.forward import DENSE_DIFFUSION_MAX_NX, solve_state; "
         "from sizepop.presets import smooth_default; "
         "vsc = smooth_default(160, 2, DENSE_DIFFUSION_MAX_NX); "
-        "st = solve_state(vsc, 0.4); adj = solve_adjoint(vsc, st); "
+        "st = solve_state(vsc, 0.4); adj = solve_adjoint(vsc, 0.4); "
         "print(hashlib.sha256(st.p.values.tobytes() + adj.phi.values.tobytes()).hexdigest())"
     )
     digests = set()

@@ -25,7 +25,7 @@ from sizepop.model import (
     _grid_eval_full,
     validate_scenario,
 )
-from sizepop.optimizer import optimize
+from sizepop.optimizer import diagnose_contraction, optimize
 from sizepop.presets import smooth_default
 from sizepop.scenario_io import (
     FieldCsvWrite,
@@ -456,11 +456,12 @@ def test_compact_samples_change_no_output_bit(make):
     outputs = []
     for vsc in (compact, full):
         state = solve_state(vsc, beta)
-        adj = solve_adjoint(vsc, state)
+        adj = solve_adjoint(vsc, beta)
         rep = optimize(vsc.with_tolerances(max_iters=6))
+        diag = diagnose_contraction(vsc, rep.beta_opt)
         outputs.append([state.p.values, state.newborn_density.values, adj.phi.values,
                         adj.phi_at_zero.values, rep.beta_opt.values, rep.J_history,
-                        np.array(list(rep.contraction.to_dict().values()), dtype=float)])
+                        np.array(list(diag.to_dict().values()), dtype=float)])
     pairs += zip(*outputs)
     for a, b in pairs:
         assert a.shape == b.shape

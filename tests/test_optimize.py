@@ -14,8 +14,8 @@ import pytest
 import sizepop as sp
 import sizepop.optimizer as opt_mod
 from sizepop import rates as rate_lib
-from sizepop.adjoint import AdjointSolution, duality_residual, solve_adjoint, solve_sensitivity
-from sizepop.forward import StateSolution
+from sizepop.adjoint import AdjointSolution, duality_residual, solve_adjoint
+from sizepop.forward import StateSolution, march_sensitivity
 from sizepop.model import (
     ControlBounds,
     CostParams,
@@ -26,6 +26,7 @@ from sizepop.model import (
 )
 from sizepop.optimizer import (
     contraction_diagnostics,
+    diagnose_contraction,
     evaluate_costs,
     gradient_field,
     optimize,
@@ -38,12 +39,10 @@ GRID = Grid3(Ns=4, Nt=5, Nx=4, s_f=1.0, T=1.0, L=1.0)
 SMOOTH_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "smooth.json"
 
 
-def _state(grid, p_value, beta) -> StateSolution:
-    p = full_field(grid, ("size", "time", "space"), p_value)
+def _state(grid, p_value) -> StateSolution:
     return StateSolution(
-        p=p,
+        p=full_field(grid, ("size", "time", "space"), p_value),
         newborn_density=full_field(grid, ("time", "space"), 0.0),
-        beta=control_array(grid, beta),
     )
 
 
@@ -56,15 +55,15 @@ def _adjoint(grid, phi0_value) -> AdjointSolution:
 
 class TestEvaluateCost:
     def test_minus_variant(self):
-        J = evaluate_cost(_state(GRID, 1.0, 1.0), CostParams(rho=1.0, sign_variant="minus"))
+        J = evaluate_cost(_state(GRID, 1.0), 1.0, CostParams(rho=1.0, sign_variant="minus"))
         assert J == pytest.approx(0.5, abs=1e-14)
 
     def test_plus_variant(self):
-        J = evaluate_cost(_state(GRID, 1.0, 1.0), CostParams(rho=1.0, sign_variant="plus"))
+        J = evaluate_cost(_state(GRID, 1.0), 1.0, CostParams(rho=1.0, sign_variant="plus"))
         assert J == pytest.approx(1.5, abs=1e-14)
 
     def test_zero_control_integrates_density(self):
-        J = evaluate_cost(_state(GRID, 1.0, 0.0), CostParams(rho=1.0))
+        J = evaluate_cost(_state(GRID, 1.0), 0.0, CostParams(rho=1.0))
         assert J == pytest.approx(1.0, abs=1e-14)
 
     def test_batch_stores_no_state(self):
@@ -144,8 +143,8 @@ class TestProjection:
 class TestGradientField:
     def test_control_term_only_when_trace_vanishes(self):
         vsc = unit_scenario(GRID)
-        g = gradient_field(_state(GRID, 1.0, 0.7), _adjoint(GRID, 0.0),
-                           with_cost(vsc, rho=2.0, sign_variant="minus"))
+        g = gradient_field(with_cost(vsc, rho=2.0, sign_variant="minus"), 0.7,
+                           _state(GRID, 1.0), _adjoint(GRID, 0.0))
         np.testing.assert_allclose(g.values, -2.0 * 0.7)
 
     @pytest.mark.parametrize("variant", ["minus", "plus"])
@@ -153,9 +152,7 @@ class TestGradientField:
         vsc = with_cost(tiny_random(seed=11), sign_variant=variant)
         grid = vsc.grid
         beta = 0.3 + 0.2 * rng.random((grid.Ns, grid.Nt + 1, grid.Nx))
-        state = sp.solve_state(vsc, beta)
-        adj = solve_adjoint(vsc, state)
-        g = gradient_field(state, adj, vsc).values
+        g = gradient_field(vsc, beta, sp.solve_state(vsc, beta), solve_adjoint(vsc, beta)).values
         w = grid.volume_weights()
         eps = 1e-6
         for _ in range(5):
@@ -164,8 +161,8 @@ class TestGradientField:
             k = int(rng.integers(0, grid.Nx))
             bp = beta.copy(); bp[i, j, k] += eps
             bm = beta.copy(); bm[i, j, k] -= eps
-            jp = evaluate_cost(sp.solve_state(vsc, bp), vsc.cost)
-            jm = evaluate_cost(sp.solve_state(vsc, bm), vsc.cost)
+            jp = evaluate_cost(sp.solve_state(vsc, bp), bp, vsc.cost)
+            jm = evaluate_cost(sp.solve_state(vsc, bm), bm, vsc.cost)
             fd = (jp - jm) / (2 * eps)
             assert abs(g[i, j, k] * w[j, k] - fd) <= 1e-6 * max(abs(fd), 1e-12)
 
@@ -174,27 +171,27 @@ class TestGradientField:
         # direction remains, which is the box condition at the upper bound
         vsc = unit_scenario(GRID, phi_l=0.1, phi_m=0.4)
         beta = 0.4
-        g = gradient_field(_state(GRID, 1.0, beta), _adjoint(GRID, -0.2),
-                           with_cost(vsc, rho=1.0, sign_variant="minus"))
+        g = gradient_field(with_cost(vsc, rho=1.0, sign_variant="minus"), beta,
+                           _state(GRID, 1.0), _adjoint(GRID, -0.2))
         assert (g.values[:, :-1, :] < 0).all()  # descent would need beta > phi_m
 
 
 class TestFixedPointUpdate:
     def test_zero_trace_clips_to_lower_bound(self):
         vsc = unit_scenario(GRID, phi_l=0.1, phi_m=0.4)
-        out = fixed_point_update(_state(GRID, 1.0, 0.2), _adjoint(GRID, 0.0), vsc)
+        out = fixed_point_update(_state(GRID, 1.0), _adjoint(GRID, 0.0), vsc)
         np.testing.assert_allclose(out.values, 0.1)
 
     def test_interior_stationary_value(self):
         # r*p*phi0/(c*rho) = -0.25 pointwise: update is the interior value 0.25
         vsc = unit_scenario(GRID, r=0.5, phi_l=0.1, phi_m=0.4)
         vsc = with_cost(vsc, rho=1.0, c=1.0, sign_variant="minus")
-        out = fixed_point_update(_state(GRID, 1.0, 0.2), _adjoint(GRID, -0.5), vsc)
+        out = fixed_point_update(_state(GRID, 1.0), _adjoint(GRID, -0.5), vsc)
         np.testing.assert_allclose(out.values, 0.25, atol=1e-15)
 
     def test_only_product_c_rho_enters(self):
         vsc = unit_scenario(GRID, r=0.5, phi_l=0.0, phi_m=1.0)
-        state, adj = _state(GRID, 0.9, 0.2), _adjoint(GRID, -0.7)
+        state, adj = _state(GRID, 0.9), _adjoint(GRID, -0.7)
         out1 = fixed_point_update(state, adj, with_cost(vsc, rho=2.0, c=1.0))
         out2 = fixed_point_update(state, adj, with_cost(vsc, rho=1.0, c=2.0))
         np.testing.assert_allclose(out1.values, out2.values, atol=1e-15)
@@ -214,12 +211,13 @@ class TestOptimize:
         rep = optimize(vsc)
         assert (rep.beta_opt.values >= vsc.phi_l_grid).all()
         assert (rep.beta_opt.values <= vsc.phi_m_grid).all()
-        assert rep.contraction is None  # every sample is the one control
+        # every diagnostic sample is the one control
+        assert diagnose_contraction(vsc, rep.beta_opt) is None
 
     def test_two_starts_agree(self):
         vsc = smooth_default(10, 10, 6)
-        r1 = optimize(vsc, beta0=vsc.phi_l_grid, compute_diagnostics=False)
-        r2 = optimize(vsc, beta0=vsc.phi_m_grid, compute_diagnostics=False)
+        r1 = optimize(vsc, beta0=vsc.phi_l_grid)
+        r2 = optimize(vsc, beta0=vsc.phi_m_grid)
         assert r1.status == r2.status == "converged"
         assert np.abs(r1.beta_opt.values - r2.beta_opt.values).max() < 1e-6
         assert (r1.beta_opt.values >= vsc.phi_l_grid).all()
@@ -227,18 +225,17 @@ class TestOptimize:
 
     def test_fixed_point_consistency_at_convergence(self):
         vsc = smooth_default(10, 10, 6)
-        rep = optimize(vsc, compute_diagnostics=False)
+        rep = optimize(vsc)
         beta = rep.beta_opt.values
         state = sp.solve_state(vsc, beta)
-        adj = solve_adjoint(vsc, state)
+        adj = solve_adjoint(vsc, beta)
         target = fixed_point_update(state, adj, vsc).values
         assert np.abs(beta - target).max() < 10 * vsc.tolerances.fixed_point_tol
 
     def test_relaxed_update_reaches_same_fixed_point(self):
         vsc = smooth_default(8, 8, 4)
-        full = optimize(vsc, compute_diagnostics=False)
-        relaxed = optimize(vsc.with_tolerances(relax_omega=0.5),
-                           compute_diagnostics=False)
+        full = optimize(vsc)
+        relaxed = optimize(vsc.with_tolerances(relax_omega=0.5))
         assert relaxed.status == "converged"
         assert relaxed.iterations > full.iterations  # damping slows the sweep
         assert np.abs(relaxed.beta_opt.values - full.beta_opt.values).max() < 1e-6
@@ -254,14 +251,15 @@ class TestOptimize:
             return np.full(p.shape, 2.0 ** -(-calls["n"] // levels))
 
         monkeypatch.setattr(opt_mod, "_update_target", runaway)
-        rep = optimize(vsc, beta0=0.0, compute_diagnostics=False)
+        rep = optimize(vsc, beta0=0.0)
         assert rep.status == "diverged"
         assert len(rep.update_residuals) >= 10
 
     def test_only_the_control_outlives_an_iteration(self, monkeypatch):
-        # the diagnostics march five samples of their own; when they start,
-        # the sweep may hold the control and nothing else of full-grid size:
-        # no state, adjoint, update target or earlier iterate
+        # the diagnostics march five samples of their own; when they start
+        # at the optimum, as the CLI runs them, the sweep's report may hold
+        # the control and nothing else of full-grid size: no state, adjoint,
+        # update target or earlier iterate
         vsc = smooth_default(40, 40, 20)
         grid = vsc.grid
         control_bytes = 8 * grid.Ns * (grid.Nt + 1) * grid.Nx
@@ -283,10 +281,11 @@ class TestOptimize:
         try:
             before = tracemalloc.get_traced_memory()[0]
             rep = optimize(vsc)
+            diag = opt_mod.diagnose_contraction(vsc, rep.beta_opt)
         finally:
             tracemalloc.stop()
             gc.enable()
-        assert rep.iterations >= 2 and rep.contraction is not None
+        assert rep.iterations >= 2 and diag is not None
         # the control itself, plus well under one more control-sized array
         assert held["after_sweep"] - before < 2 * control_bytes
 
@@ -313,10 +312,11 @@ class TestOptimize:
         try:
             before = tracemalloc.get_traced_memory()[0]
             rep = optimize(vsc)
+            diag = opt_mod.diagnose_contraction(vsc, rep.beta_opt)
         finally:
             tracemalloc.stop()
             gc.enable()
-        assert rep.contraction is None
+        assert diag is None
         rng = np.random.default_rng(vsc.tolerances.seed)
         for sample in held["samples"][3:]:
             want = vsc.phi_l_grid + rng.random(shape) * (vsc.phi_m_grid - vsc.phi_l_grid)
@@ -374,12 +374,13 @@ class TestContractionDiagnostics:
     def test_geometric_residual_decay_under_contraction(self):
         vsc = with_cost(smooth_default(10, 10, 6), rho=10.0, c=1.0)
         rep = optimize(vsc)
-        assert rep.contraction is not None and rep.contraction.ratio < 1.0
+        diag = diagnose_contraction(vsc, rep.beta_opt)
+        assert diag is not None and diag.ratio < 1.0
         r = rep.update_residuals
         for k in range(3, len(r) - 1):
             if r[k + 1] <= 1e-13:
                 break
-            assert r[k + 1] / r[k] <= rep.contraction.ratio + 0.1
+            assert r[k + 1] / r[k] <= diag.ratio + 0.1
 
 
 def whole_field_optimize(vsc):
@@ -395,8 +396,8 @@ def whole_field_optimize(vsc):
     J_history, residuals, status, grow_streak = [], [], "max_iters", 0
     for _ in range(vsc.tolerances.max_iters):
         state = sp.solve_state(vsc, beta)
-        adj = solve_adjoint(vsc, state)
-        J_history.append(evaluate_cost(state, cost))
+        adj = solve_adjoint(vsc, beta)
+        J_history.append(evaluate_cost(state, beta, cost))
         h = (cost.control_sign * vsc.r_grid * state.p.values
              * adj.phi_at_zero.values[None, :, :] / (cost.c * cost.rho))
         target = np.clip(h, vsc.phi_l_grid, vsc.phi_m_grid)
@@ -430,7 +431,7 @@ def looped_diagnostics(vsc, samples):
     states, traces, m3, m4 = [], [], 0.0, 0.0
     for b in arrs:
         state = sp.solve_state(vsc, b)
-        adj = solve_adjoint(vsc, state)
+        adj = solve_adjoint(vsc, b)
         states.append(state.p.values)
         traces.append(adj.phi_at_zero.values)
         m3 = max(m3, float(np.max(np.abs(state.p.values))))
@@ -489,10 +490,10 @@ def test_streamed_sweep_matches_whole_field_sweep(name):
     assert rep.update_residuals.tolist() == residuals
     # evaluate_cost sums the per-level cost shares in the sweep's order
     assert np.array_equal(rep.J_history, J_history)
+    got = diagnose_contraction(vsc, rep.beta_opt)
     if diag is None:
-        assert rep.contraction is None
+        assert got is None
     else:
-        got = rep.contraction
         assert (got.M1, got.M2, got.M3, got.M4) == diag
     # the diagnostics on samples given as scalars and arrays alike
     samples = [0.25, beta, vsc.phi_m_grid]
@@ -505,21 +506,27 @@ def test_streamed_sweep_matches_whole_field_sweep(name):
         assert (got.M1, got.M2, got.M3, got.M4) == want
 
 
-@pytest.mark.parametrize("entry", ["solve_state", "optimize", "solve_sensitivity",
-                                   "duality_residual", "contraction_diagnostics"])
+@pytest.mark.parametrize("entry", ["solve_state", "solve_adjoint", "optimize",
+                                   "march_sensitivity", "duality_residual", "gradient_field",
+                                   "contraction_diagnostics"])
 def test_control_field_on_another_grid_is_refused(entry):
-    # same shape as the scenario's grid, other extents
+    # same shape as the scenario's grid, other extents; given as the control
+    # and, where there is one, as the direction
     vsc = smooth_default(8, 8, 4)
     other = full_field(Grid3(Ns=8, Nt=8, Nx=4, s_f=2.0, T=5.0, L=3.0),
                        ("size", "time", "space"), 0.4)
-    state = sp.solve_state(vsc, 0.4)
     calls = {
-        "solve_state": lambda: sp.solve_state(vsc, other),
-        "optimize": lambda: optimize(vsc, beta0=other, compute_diagnostics=False),
-        "solve_sensitivity": lambda: solve_sensitivity(vsc, state, other),
-        "duality_residual": lambda: duality_residual(vsc, state, solve_adjoint(vsc, state),
-                                                     other),
-        "contraction_diagnostics": lambda: contraction_diagnostics(vsc, [0.2, other]),
+        "solve_state": [lambda: sp.solve_state(vsc, other)],
+        "solve_adjoint": [lambda: solve_adjoint(vsc, other)],
+        "optimize": [lambda: optimize(vsc, beta0=other)],
+        "march_sensitivity": [lambda: next(march_sensitivity(vsc, other, 0.1)),
+                              lambda: next(march_sensitivity(vsc, 0.4, other))],
+        "duality_residual": [lambda: duality_residual(vsc, other, 0.1),
+                             lambda: duality_residual(vsc, 0.4, other)],
+        "gradient_field": [lambda: gradient_field(vsc, other, sp.solve_state(vsc, 0.4),
+                                                  solve_adjoint(vsc, 0.4))],
+        "contraction_diagnostics": [lambda: contraction_diagnostics(vsc, [0.2, other])],
     }
-    with pytest.raises(ValueError, match="different grid"):
-        calls[entry]()
+    for call in calls[entry]:
+        with pytest.raises(ValueError, match="different grid"):
+            call()

@@ -164,7 +164,7 @@ def test_step_operator_matches_loop_reference(name):
         want = reference_state(vsc, beta, thomas_diffusion(vsc))
         assert np.abs(state.p.values - want).max() <= 1e-14 * np.abs(want).max()
 
-    adj = solve_adjoint(vsc, state)
+    adj = solve_adjoint(vsc, beta)
     phi, phi0 = reference_adjoint(vsc, beta)
     for got, want in ((adj.phi.values, phi), (adj.phi_at_zero.values, phi0)):
         assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1e-300)
@@ -191,7 +191,7 @@ def test_batched_march_matches_separate_solves(name, n):
     assert costs.shape == (n,)
     for m, state in enumerate(states):
         assert np.array_equal(state.p.values, reference_state(vsc, betas[m]))
-        assert costs[m] == evaluate_cost(state, vsc.cost)
+        assert costs[m] == evaluate_cost(state, betas[m], vsc.cost)
 
 
 def test_non_finite_batch_member_is_named():
@@ -228,7 +228,7 @@ def looped_brute_force_search(vsc, n_levels):
     for multi in np.ndindex(*(n_levels,) * n_dof):
         vals = levels[list(multi)]
         b = control(vals)
-        J = evaluate_cost(solve_state(vsc, b), vsc.cost)
+        J = evaluate_cost(solve_state(vsc, b), b, vsc.cost)
         if J < best_J:
             best_J, best_vals = J, vals
     step = levels[1] - levels[0]
@@ -240,7 +240,7 @@ def looped_brute_force_search(vsc, n_levels):
             if vals[d] < lo - 1e-12 or vals[d] > hi + 1e-12:
                 continue
             b = control(vals)
-            sens = max(sens, abs(evaluate_cost(solve_state(vsc, b), vsc.cost) - best_J))
+            sens = max(sens, abs(evaluate_cost(solve_state(vsc, b), b, vsc.cost) - best_J))
     return best_J, best_vals, sens
 
 
@@ -262,13 +262,12 @@ def test_gradient_check_matches_looped_differences():
     rows = gradient_check(vsc, n_directions=4, seed=5)
     rng = np.random.default_rng(5)
     beta = vsc.phi_l_grid + 0.35 * (vsc.phi_m_grid - vsc.phi_l_grid)
-    state = solve_state(vsc, beta)
-    g = gradient_field(state, solve_adjoint(vsc, state), vsc).values
+    g = gradient_field(vsc, beta, solve_state(vsc, beta), solve_adjoint(vsc, beta)).values
     eps = 1e-6 * max(float(np.abs(beta).max()), 1.0)
     for row in rows:
         delta = rng.standard_normal(beta.shape)
         bp, bm = beta + eps * delta, beta - eps * delta
-        jp = evaluate_cost(solve_state(vsc, bp), vsc.cost)
-        jm = evaluate_cost(solve_state(vsc, bm), vsc.cost)
+        jp = evaluate_cost(solve_state(vsc, bp), bp, vsc.cost)
+        jm = evaluate_cost(solve_state(vsc, bm), bm, vsc.cost)
         assert row["fd"] == (jp - jm) / (2.0 * eps)
         assert row["analytic"] == float((vsc.grid.volume_weights() * g * delta).sum())
